@@ -9,7 +9,6 @@ scored by multiplex modularity, and against ground truth by normalized
 mutual information and greedy matched accuracy.
 """
 
-from ._kernels import USING_NUMBA
 from .eigensolver import (
     ConvergenceError,
     SpectralBasis,
@@ -63,6 +62,9 @@ from .operators import (
 )
 
 __version__ = "0.1.0"
+
+# Every kernel is plain numpy; the flag stays for tools that record it.
+USING_NUMBA = False
 
 __all__ = [
     "USING_NUMBA",

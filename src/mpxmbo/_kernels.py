@@ -1,80 +1,34 @@
-"""Hot numeric kernels, jitted when numba is available.
+"""Hot numeric kernels, one numpy implementation each.
 
-Every kernel has a pure-numpy implementation; setting the environment
-variable ``MPXMBO_DISABLE_JIT`` to 1/true/yes (before import) forces the
-numpy path even when numba is installed.  ``benchmarks/bench_kernels.py``
-compares the two.
+Callers reach these through the module (``_kernels.csr_matvec(...)``),
+so a profiler can wrap a kernel by replacing the module attribute.
 """
-
-import os
 
 import numpy as np
 
-__all__ = [
-    "USING_NUMBA",
-    "csr_matvec",
-    "csr_matvec_numpy",
-    "label_edge_sums",
-    "label_edge_sums_numpy",
-    "enumerate_partitions",
-    "enumerate_partitions_numpy",
-]
-
-
-def _jit_disabled():
-    return os.environ.get("MPXMBO_DISABLE_JIT", "").strip().lower() in {"1", "true", "yes"}
-
-
-USING_NUMBA = False
-if not _jit_disabled():
-    try:
-        from numba import njit
-
-        USING_NUMBA = True
-    except ImportError:
-        pass
+__all__ = ["csr_matvec", "label_edge_sums", "enumerate_partitions"]
 
 
 # ---------------------------------------------------------------------------
 # sparse symmetric matvec
 
 
-def csr_matvec_numpy(indptr, rows, cols, data, x, n):
+def csr_matvec(rows, cols, data, x, n):
+    """y = A x for A stored as COO triples sorted by (row, col)."""
     if data.size == 0:
         return np.zeros(n)
-    # bincount accumulates in storage order (sorted by row, then col), the
-    # same order as the jitted row loop, so both paths round identically.
+    # bincount accumulates in storage order, so each row sums its entries
+    # by increasing column
     return np.bincount(rows, weights=data * x[cols], minlength=n)
-
-
-def _csr_matvec_impl(indptr, rows, cols, data, x, n):
-    y = np.zeros(n)
-    for i in range(n):
-        acc = 0.0
-        for e in range(indptr[i], indptr[i + 1]):
-            acc += data[e] * x[cols[e]]
-        y[i] = acc
-    return y
 
 
 # ---------------------------------------------------------------------------
 # per-label edge sums (stored entries with equal / different endpoint labels)
 
 
-def label_edge_sums_numpy(rows, cols, data, labels):
+def label_edge_sums(rows, cols, data, labels):
     same = labels[rows] == labels[cols]
     return float(data[same].sum()), float(data[~same].sum())
-
-
-def _label_edge_sums_impl(rows, cols, data, labels):
-    same = 0.0
-    cross = 0.0
-    for e in range(data.size):
-        if labels[rows[e]] == labels[cols[e]]:
-            same += data[e]
-        else:
-            cross += data[e]
-    return same, cross
 
 
 # ---------------------------------------------------------------------------
@@ -87,84 +41,51 @@ def _label_edge_sums_impl(rows, cols, data, labels):
 # sum_{i,j same label} S[i, j] (both orders, diagonal included).
 
 
-def _enumerate_partitions_impl(S, n_c):
-    m = S.shape[0]
-    labels = np.zeros(m, dtype=np.int64)
-    best_labels = np.zeros(m, dtype=np.int64)
-    cand = np.full(m, -1, dtype=np.int64)
-    maxl = np.zeros(m, dtype=np.int64)
-    contrib = np.zeros(m)
-    prefix = np.zeros(m)
-    prefix[0] = S[0, 0]
-    best_val = -np.inf
-    if m == 1:
-        return S[0, 0], best_labels
-    p = 1
-    while p >= 1:
-        nxt = cand[p] + 1
-        limit = maxl[p - 1] + 1
-        if limit > n_c - 1:
-            limit = n_c - 1
-        if nxt > limit:
-            cand[p] = -1
-            p -= 1
-            continue
-        s = S[p, p]
-        for q in range(p):
-            if labels[q] == nxt:
-                s += 2.0 * S[q, p]
-        cand[p] = nxt
-        labels[p] = nxt
-        contrib[p] = s
-        maxl[p] = maxl[p - 1] if maxl[p - 1] >= nxt else nxt
-        prefix[p] = prefix[p - 1] + s
-        if p == m - 1:
-            if prefix[p] > best_val:
-                best_val = prefix[p]
-                best_labels[:] = labels
-        else:
-            p += 1
-    return best_val, best_labels
+def _extend(labels, maxl, score, S, n_c):
+    """Append every admissible next label to each string, keeping
+    lexicographic order, and add the new position's share of the score."""
+    p = labels.shape[1]
+    counts = np.minimum(maxl + 2, n_c)
+    rep = np.repeat(np.arange(labels.shape[0]), counts)
+    ends = np.cumsum(counts)
+    new = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+    labels = labels[rep]
+    # S[p, p] plus both orders of every earlier entry with the same label;
+    # each row is summed on its own, so a score does not depend on its block
+    same = np.where(labels == new[:, None], S[:p, p], 0.0).sum(axis=1)
+    score = score[rep] + (S[p, p] + 2.0 * same)
+    return np.concatenate([labels, new[:, None]], axis=1), np.maximum(maxl[rep], new), score
 
 
-def _canonical_strings(m, n_c):
-    """All restricted growth strings of length m, lexicographic order."""
-    labels = np.zeros((1, 1), dtype=np.int64)
-    maxl = np.zeros(1, dtype=np.int64)
-    for _ in range(1, m):
-        counts = np.minimum(maxl + 2, n_c)
-        rep = np.repeat(np.arange(labels.shape[0]), counts)
-        ends = np.cumsum(counts)
-        new = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
-        labels = np.concatenate([labels[rep], new[:, None]], axis=1)
-        maxl = np.maximum(maxl[rep], new)
-    return labels
+def _best_extension(labels, maxl, score, S, n_c, chunk):
+    """First maximum, in lexicographic order, over the full-length strings
+    that extend the given prefixes.
+
+    Depth-first, extending at most chunk // n_c prefixes at a time: each
+    level holds at most chunk rows, so memory is bounded by m * chunk
+    labels whatever the number of strings.
+    """
+    if labels.shape[1] == S.shape[0]:
+        i = int(np.argmax(score))
+        return float(score[i]), labels[i]
+    labels, maxl, score = _extend(labels, maxl, score, S, n_c)
+    best = None
+    step = max(1, chunk // n_c)
+    for start in range(0, labels.shape[0], step):
+        part = slice(start, start + step)
+        cand = _best_extension(labels[part], maxl[part], score[part], S, n_c, chunk)
+        if best is None or cand[0] > best[0]:
+            best = cand
+    return best
 
 
-def enumerate_partitions_numpy(S, n_c, chunk=4096):
-    m = S.shape[0]
-    if m == 1:
-        return float(S[0, 0]), np.zeros(1, dtype=np.int64)
-    strings = _canonical_strings(m, n_c)
-    eye = np.eye(n_c)
-    best_val = -np.inf
-    best_labels = None
-    for start in range(0, strings.shape[0], chunk):
-        block = strings[start : start + chunk]
-        onehot = eye[block]  # (b, m, n_c)
-        vals = np.einsum("bic,ij,bjc->b", onehot, S, onehot, optimize=True)
-        i = int(np.argmax(vals))
-        if vals[i] > best_val:
-            best_val = float(vals[i])
-            best_labels = block[i].copy()
-    return best_val, best_labels
+def enumerate_partitions(S, n_c, chunk=4096):
+    """Maximum of sum_{i,j same label} S[i, j] over partitions into <= n_c groups.
 
-
-if USING_NUMBA:
-    csr_matvec = njit(cache=True)(_csr_matvec_impl)
-    label_edge_sums = njit(cache=True)(_label_edge_sums_impl)
-    enumerate_partitions = njit(cache=True)(_enumerate_partitions_impl)
-else:
-    csr_matvec = csr_matvec_numpy
-    label_edge_sums = label_edge_sums_numpy
-    enumerate_partitions = enumerate_partitions_numpy
+    ``S`` must be symmetric.  Returns (value, labels) with 0-based labels;
+    among equal maxima the lexicographically first restricted growth
+    string wins.
+    """
+    root = np.zeros((1, 1), dtype=np.int64)
+    value, labels = _best_extension(root, root[0], np.array([S[0, 0]], dtype=float), S, n_c, chunk)
+    return value, labels.copy()

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 runtime or data errors, 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 import time
@@ -152,6 +153,17 @@ class UsageError(Exception):
     pass
 
 
+def _network_digest(net):
+    """sha256 over the canonical storage of every layer and the coupling."""
+    h = hashlib.sha256(f"{net.n} {net.L}".encode())
+    for a in net.intra:
+        h.update(a.nnz.to_bytes(8, "little"))
+        for arr in (a.rows, a.cols, a.data):
+            h.update(arr.tobytes())
+    h.update(net.coupling.tobytes())
+    return h.hexdigest()
+
+
 def _cached_basis(path, net, deg, gamma, config):
     """Load a cached basis when its metadata matches, else compute and store."""
     want = {
@@ -164,7 +176,7 @@ def _cached_basis(path, net, deg, gamma, config):
         "eig_tol": _fmt(config.eig_tol),
         "seed": str(config.seed),
         "subspace_factor": _fmt(config.subspace_factor),
-        "strength": _fmt(deg.total_strength),
+        "network": _network_digest(net),
     }
     if os.path.exists(path):
         try:
@@ -208,7 +220,6 @@ def cmd_detect(args):
         n_c=args.nc,
         k=args.k,
         gamma=args.gamma,
-        omega=args.omega,
         dt=args.dt,
         n_runs=args.runs,
         max_iter=args.max_iter,
@@ -312,7 +323,6 @@ def cmd_grid(args):
                 n_c=n_c,
                 k=k,
                 gamma=args.gamma,
-                omega=args.omega,
                 dt=args.dt,
                 n_runs=args.runs,
                 max_iter=args.max_iter,

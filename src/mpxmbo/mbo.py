@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,8 +45,8 @@ __all__ = [
 class DetectConfig:
     """Parameters of one detection problem.
 
-    ``gamma`` may be a scalar or a per-layer sequence; ``omega`` must
-    match the network the config is used with.  ``seed`` keys both the
+    ``gamma`` may be a scalar or a per-layer sequence; the coupling
+    strength is the network's own ``omega``.  ``seed`` keys both the
     eigensolver start vector and the per-run initial assignments.
     """
 
@@ -54,7 +54,6 @@ class DetectConfig:
     n_c: int
     k: int
     gamma: object = 1.0
-    omega: float = 1.0
     dt: float = 1.0
     n_runs: int = 20
     max_iter: int = 300
@@ -78,8 +77,6 @@ class DetectConfig:
             gamma = float(gamma)
             gamma_vector(gamma, 1)
         object.__setattr__(self, "gamma", gamma)
-        if not np.isfinite(self.omega) or self.omega < 0:
-            raise ValueError("omega must be finite and >= 0")
         if not np.isfinite(self.dt) or self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.n_runs < 1:
@@ -151,6 +148,11 @@ def mbo_run(basis, config, init, net, deg, run_index=0):
     Returns a RunResult whose modularity is computed on the final
     partition with `metrics.multiplex_modularity`.
     """
+    # Thresholding is a row-wise argmax, so scaling every diffused column
+    # by exp(-dt * top) changes no label; it keeps exp(dt * eigenvalue)
+    # finite when the leading eigenvalues are large and positive.
+    top = max(float(basis.eigenvalues[0]), 0.0)
+    basis = replace(basis, eigenvalues=basis.eigenvalues - top)
     u = init.one_hot()
     prev = init.assignment
     part = init
@@ -178,7 +180,6 @@ def detect(net, deg, config, basis=None, threads=1):
     net : MultiplexNetwork
     deg : DegreeData
     config : DetectConfig
-        ``config.omega`` must equal ``net.omega``.
     basis : SpectralBasis, optional
         Reuse a precomputed basis (must match the method's operator and
         hold at least config.k columns; extra columns are truncated).
@@ -195,10 +196,6 @@ def detect(net, deg, config, basis=None, threads=1):
         run index); ``runs`` holds all runs in index order.
     """
     gamma = gamma_vector(config.gamma, net.L)
-    if config.omega != net.omega:
-        raise ValueError(
-            f"config.omega={config.omega!r} does not match network omega={net.omega!r}"
-        )
     if config.n_c > net.nL:
         raise ValueError("n_c cannot exceed the number of node-layer pairs")
     if not 1 <= config.k < net.nL:

@@ -67,20 +67,17 @@ class NetworkFormatError(ValueError):
 
 
 class SparseSym:
-    """Sparse symmetric matrix in canonical CSR storage.
+    """Sparse symmetric matrix as canonical COO triples.
 
     Entries are sorted by (row, col) and duplicates are merged by summing
     in input order, so that building from edge lists that list both
-    orientations of every edge yields bit-for-bit symmetric data.  A COO
-    row array is kept alongside the CSR index pointer so both the jitted
-    and the pure-numpy matvec kernels can run on the same storage.
+    orientations of every edge yields bit-for-bit symmetric data.
     """
 
-    __slots__ = ("n", "indptr", "rows", "cols", "data")
+    __slots__ = ("n", "rows", "cols", "data")
 
-    def __init__(self, n, indptr, rows, cols, data):
+    def __init__(self, n, rows, cols, data):
         self.n = int(n)
-        self.indptr = indptr
         self.rows = rows
         self.cols = cols
         self.data = data
@@ -111,10 +108,7 @@ class SparseSym:
             starts = np.flatnonzero(first)
             data = np.add.reduceat(data, starts)
             rows, cols = rows[starts], cols[starts]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, rows + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(n, indptr, rows, cols, data)
+        return cls(n, rows, cols, data)
 
     @classmethod
     def from_dense(cls, a):
@@ -149,7 +143,7 @@ class SparseSym:
         return float(self.data.sum())
 
     def matvec(self, x):
-        return _kernels.csr_matvec(self.indptr, self.rows, self.cols, self.data, x, self.n)
+        return _kernels.csr_matvec(self.rows, self.cols, self.data, x, self.n)
 
 
 def _check_coupling(coupling, L):

@@ -58,7 +58,7 @@ def test_criterion_1_florentine_reproduction(announce):
     best = {}
     for method, k in (("mpbtv", 4), ("dgfm3", 7)):
         config = DetectConfig(
-            method=method, n_c=3, k=k, gamma=0.6, omega=1.0, dt=1.0, n_runs=50, seed=7
+            method=method, n_c=3, k=k, gamma=0.6, dt=1.0, n_runs=50, seed=7
         )
         best[method] = detect(net, deg, config).best.modularity
     elapsed = time.perf_counter() - t0
@@ -223,8 +223,7 @@ def test_criterion_6_oracle_dominance(announce):
         q_max, _ = oracle_max_modularity(net, deg, gamma, 2)
         method = ("dgfm3", "mpbtv")[done % 2]
         config = DetectConfig(
-            method=method, n_c=2, k=min(3, net.nL - 1), gamma=gamma,
-            omega=net.omega, n_runs=5, seed=done,
+            method=method, n_c=2, k=min(3, net.nL - 1), gamma=gamma, n_runs=5, seed=done,
         )
         q_best = detect(net, deg, config).best.modularity
         margin = max(margin, q_best - q_max)
@@ -235,7 +234,7 @@ def test_criterion_6_oracle_dominance(announce):
     q_tri = {}
     for method in ("mpbtv", "dgfm3"):
         config = DetectConfig(
-            method=method, n_c=2, k=2, gamma=1.0, omega=0.0, n_runs=20, seed=1
+            method=method, n_c=2, k=2, gamma=1.0, n_runs=20, seed=1
         )
         q_tri[method] = detect(net, deg, config).best.modularity
     ok = margin <= 1e-12 and q_tri["mpbtv"] == 0.5 and q_tri["dgfm3"] == 0.5

@@ -226,6 +226,41 @@ def test_basis_cache_reuse_and_stale(capsys, tmp_path):
     assert get_field(out3, "offline seconds") != "0"
 
 
+def test_basis_cache_keyed_on_edges(capsys, tmp_path):
+    # same n, L and total strength, different edges: the cached basis of
+    # the first network must not be reused for the second
+    header = "#multiplex n=6 L=2\n"
+    ring = [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4), (3, 4)]
+    rewired = [(1, 2), (2, 4), (4, 1), (3, 5), (5, 6), (6, 3), (1, 6)]
+    nets = {}
+    for name, edges in (("a", ring), ("b", rewired)):
+        lines = [f"{l}\t{u}\t{v}\n" for l in (1, 2) for u, v in edges]
+        nets[name] = tmp_path / f"{name}.mpx"
+        nets[name].write_text(header + "".join(lines))
+    cache = tmp_path / "basis.npz"
+    base = [
+        "detect", "--method", "mpbtv", "--nc", "2", "--k", "3",
+        "--runs", "5", "--seed", "1",
+    ]
+    rc, _, _ = run_cli(
+        capsys, *base, "--input", str(nets["a"]), "--basis-cache", str(cache),
+        "--out", str(tmp_path / "a.tsv"),
+    )
+    assert rc == 0
+    rc, out_cached, err = run_cli(
+        capsys, *base, "--input", str(nets["b"]), "--basis-cache", str(cache),
+        "--out", str(tmp_path / "b_cached.tsv"),
+    )
+    assert rc == 0
+    assert "recomputing" in err
+    rc, out_fresh, _ = run_cli(
+        capsys, *base, "--input", str(nets["b"]), "--out", str(tmp_path / "b_fresh.tsv"),
+    )
+    assert rc == 0
+    assert get_field(out_cached, "modularity") == get_field(out_fresh, "modularity")
+    assert (tmp_path / "b_cached.tsv").read_bytes() == (tmp_path / "b_fresh.tsv").read_bytes()
+
+
 def test_oracle_two_triangles(capsys, tmp_path):
     out_file = tmp_path / "opt.tsv"
     rc, out, _ = run_cli(

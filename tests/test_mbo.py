@@ -6,6 +6,7 @@ import scipy.linalg
 
 from mpxmbo import (
     DetectConfig,
+    MultiplexNetwork,
     Partition,
     SpectralBasis,
     basis_for_method,
@@ -15,6 +16,7 @@ from mpxmbo import (
     mbo_run,
     modularity_op,
     multiplex_modularity,
+    oracle_max_modularity,
     random_onehot_init,
     shifted_neg_lk_op,
     threshold,
@@ -60,8 +62,6 @@ def test_run_rng_independent_of_order():
         {"k": 0},
         {"gamma": 0.0},
         {"gamma": (1.0, -2.0)},
-        {"omega": -0.5},
-        {"omega": float("nan")},
         {"dt": 0.0},
         {"dt": -1.0},
         {"n_runs": 0},
@@ -200,7 +200,7 @@ def test_run_modularity_matches_recompute(florentine):
 
 def test_two_triangles_separating_inits_reach_half(two_triangles):
     net, deg = two_triangles
-    config = DetectConfig(method="dgfm3", n_c=2, k=2, omega=0.0)
+    config = DetectConfig(method="dgfm3", n_c=2, k=2)
     basis = basis_for_method("dgfm3", net, deg, 1.0, 2)
     clean = np.array([1, 1, 1, 2, 2, 2], dtype=np.int64)
     inits = [clean]
@@ -228,7 +228,7 @@ def test_detect_single_run_equals_mbo_run(florentine):
 
 def test_detect_best_dominates_and_breaks_ties_low(two_triangles):
     net, deg = two_triangles
-    config = DetectConfig(method="dgfm3", n_c=2, k=2, omega=0.0, n_runs=12, seed=2)
+    config = DetectConfig(method="dgfm3", n_c=2, k=2, n_runs=12, seed=2)
     out = detect(net, deg, config)
     qs = [r.modularity for r in out.runs]
     assert out.best.modularity == max(qs)
@@ -258,10 +258,22 @@ def test_detect_reuses_and_truncates_basis(florentine):
         assert np.array_equal(a.partition.assignment, b.partition.assignment)
 
 
+def test_dgfm3_large_weights_do_not_overflow():
+    # leading modularity eigenvalues near 600 overflow exp(dt * eigenvalue)
+    # at the default dt = 1 unless the runs shift them
+    a = np.zeros((6, 6))
+    for u, v in ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)):
+        a[u, v] = a[v, u] = 600.0
+    net = MultiplexNetwork.from_dense_layers([a, a], omega=1.0)
+    deg = compute_degrees(net)
+    out = detect(net, deg, DetectConfig(method="dgfm3", n_c=2, k=3, n_runs=5, seed=1))
+    assert out.basis.eigenvalues[0] > np.log(np.finfo(float).max)
+    q_max, _ = oracle_max_modularity(net, deg, 1.0, 2)
+    assert out.best.modularity == pytest.approx(q_max, abs=1e-12)
+
+
 def test_detect_input_validation(florentine):
     net, deg = florentine
-    with pytest.raises(ValueError, match="omega"):
-        detect(net, deg, DetectConfig(method="dgfm3", n_c=3, k=5, omega=0.25))
     with pytest.raises(ValueError, match="k"):
         detect(net, deg, DetectConfig(method="dgfm3", n_c=3, k=net.nL))
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Quality measures and the brute-force oracle."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -320,33 +321,67 @@ def test_oracle_dominates_detect():
         gamma = float(rng.uniform(0.5, 1.5))
         q_max, _ = oracle_max_modularity(net, deg, gamma, 2)
         cfg = DetectConfig(
-            method="dgfm3", n_c=2, k=min(3, net.nL - 1), gamma=gamma,
-            omega=net.omega, n_runs=6, seed=done,
+            method="dgfm3", n_c=2, k=min(3, net.nL - 1), gamma=gamma, n_runs=6, seed=done,
         )
         res = detect(net, deg, cfg)
         assert res.best.modularity <= q_max + 1e-12
         done += 1
 
 
-def test_enumeration_kernels_agree():
+def brute_force_partition(s, n_c):
+    """First maximum, in lexicographic order, over restricted growth strings."""
+    best = None
+    for lab in itertools.product(range(n_c), repeat=len(s)):
+        if any(l > max(lab[:i], default=-1) + 1 for i, l in enumerate(lab)):
+            continue  # a relabelling of an earlier string
+        val = s[np.equal.outer(lab, lab)].sum()
+        if best is None or val > best[0]:
+            best = (val, lab)
+    return best
+
+
+@pytest.mark.parametrize("n_c", [2, 3])
+def test_enumerate_partitions_matches_brute_force(n_c):
     rng = np.random.default_rng(69)
-    for n_c in (2, 3):
-        s = rng.standard_normal((6, 6))
+    for trial in range(8):
+        m = int(rng.integers(1, 8))
+        # small integers give exact ties, which test the first-maximum rule
+        if trial % 2:
+            s = rng.integers(-2, 3, size=(m, m)).astype(float)
+        else:
+            s = rng.standard_normal((m, m))
         s = s + s.T
-        best_jit = _kernels.enumerate_partitions(s, n_c)
-        best_np = _kernels.enumerate_partitions_numpy(s, n_c)
-        assert best_jit[0] == pytest.approx(best_np[0], abs=1e-12)
-        assert np.array_equal(best_jit[1], best_np[1])
+        want_val, want_lab = brute_force_partition(s, n_c)
+        for chunk in (4096, 3):
+            val, lab = _kernels.enumerate_partitions(s, n_c, chunk=chunk)
+            assert val == pytest.approx(want_val, abs=1e-12)
+            assert lab.tolist() == list(want_lab)
 
 
-def test_label_edge_sum_kernels_agree(florentine):
+def test_enumerate_partitions_memory_is_bounded():
+    rng = np.random.default_rng(71)
+    s = rng.standard_normal((18, 18))
+    s = s + s.T
+    tracemalloc.start()
+    try:
+        _kernels.enumerate_partitions(s, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_label_edge_sums_match_dense_mask(florentine):
     net, _ = florentine
     rng = np.random.default_rng(70)
-    lab = rng.integers(1, 4, size=net.n).astype(np.int64)
-    a = net.intra[0]
-    assert _kernels.label_edge_sums(a.rows, a.cols, a.data, lab) == pytest.approx(
-        _kernels.label_edge_sums_numpy(a.rows, a.cols, a.data, lab)
-    )
+    layers = list(net.intra) + [layer for _ in range(3) for layer in random_network(rng).intra]
+    for a in layers:
+        lab = rng.integers(1, 4, size=a.n)
+        dense = a.toarray()
+        mask = np.equal.outer(lab, lab)
+        same, cross = _kernels.label_edge_sums(a.rows, a.cols, a.data, lab)
+        assert same == pytest.approx(dense[mask].sum(), abs=1e-12)
+        assert cross == pytest.approx(dense[~mask].sum(), abs=1e-12)
 
 
 # ------------------------------------------------------------------ evaluate

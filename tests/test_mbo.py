@@ -69,6 +69,8 @@ def test_run_rng_independent_of_order():
         {"tol": 0.0},
         {"eig_tol": 0.0},
         {"subspace_factor": 0.5},
+        {"dt": float("nan")},
+        {"gamma": (1.0, float("inf"))},
     ],
 )
 def test_config_validation(kwargs):

@@ -19,13 +19,7 @@ import sys
 import time
 
 from . import __version__
-from .eigensolver import (
-    ConvergenceError,
-    basis_for_method,
-    largest_eigenpairs,
-    load_basis,
-    save_basis,
-)
+from .eigensolver import ConvergenceError, basis_for_method, load_basis, save_basis
 from .mbo import DetectConfig, detect
 from .metrics import evaluate, oracle_max_modularity
 from .network import (
@@ -37,7 +31,6 @@ from .network import (
     load_partition,
     save_partition,
 )
-from .operators import modularity_op, shifted_neg_lk_op
 
 _G = "%.12g"
 
@@ -175,7 +168,6 @@ def _cached_basis(path, net, deg, gamma, config):
         "k": str(config.k),
         "eig_tol": _fmt(config.eig_tol),
         "seed": str(config.seed),
-        "subspace_factor": _fmt(config.subspace_factor),
         "network": _network_digest(net),
     }
     if os.path.exists(path):
@@ -196,7 +188,6 @@ def _cached_basis(path, net, deg, gamma, config):
         config.k,
         tol=config.eig_tol,
         rng_seed=config.seed,
-        subspace_factor=config.subspace_factor,
     )
     elapsed = time.perf_counter() - t0
     save_basis(basis, path, want)
@@ -213,12 +204,12 @@ def _print_report(report):
         print(f"matching: {pairs}")
 
 
-def cmd_detect(args):
-    net, deg, gamma = _load(args)
-    config = DetectConfig(
+def _config(args, n_c, k):
+    """The DetectConfig of detect and grid flags, for one (n_c, k) cell."""
+    return DetectConfig(
         method=args.method,
-        n_c=args.nc,
-        k=args.k,
+        n_c=n_c,
+        k=k,
         gamma=args.gamma,
         dt=args.dt,
         n_runs=args.runs,
@@ -227,6 +218,11 @@ def cmd_detect(args):
         seed=args.seed,
         eig_tol=args.eig_tol,
     )
+
+
+def cmd_detect(args):
+    net, deg, gamma = _load(args)
+    config = _config(args, args.nc, args.k)
     basis = None
     offline = None
     if args.basis_cache:
@@ -263,18 +259,13 @@ def cmd_eval(args):
 def cmd_spectrum(args):
     net, deg, gamma = _load(args)
     t0 = time.perf_counter()
-    if args.operator == "lk":
-        # top of the shifted operator = bottom of Laplacian + balance;
-        # report the latter, ascending
-        op, sigma = shifted_neg_lk_op(net, deg, gamma)
-        raw = largest_eigenpairs(op, args.k, tol=args.eig_tol, rng_seed=args.seed, scale_floor=sigma)
-        values = sigma - raw.eigenvalues
-        residuals = raw.residuals
-    else:
-        op = modularity_op(net, deg, gamma)
-        raw = largest_eigenpairs(op, args.k, tol=args.eig_tol, rng_seed=args.seed)
-        values = raw.eigenvalues
-        residuals = raw.residuals
+    # lk: the mpbtv basis is minus the bottom of Laplacian + balance, so
+    # report its negation, ascending; mod: the dgfm3 basis as it is
+    method = "mpbtv" if args.operator == "lk" else "dgfm3"
+    basis = basis_for_method(method, net, deg, gamma, args.k, tol=args.eig_tol, rng_seed=args.seed)
+    # 0.0 - x rather than -x, so that an exact zero prints as 0, not -0
+    values = 0.0 - basis.eigenvalues if args.operator == "lk" else basis.eigenvalues
+    residuals = basis.residuals
     elapsed = time.perf_counter() - t0
     for i, (lam, res) in enumerate(zip(values, residuals), start=1):
         print(f"{i}\t{_fmt(lam)}\t{_fmt(res)}")
@@ -318,18 +309,7 @@ def cmd_grid(args):
     print("n_c\tk\tmodularity")
     for k in range(k_lo, k_hi + 1):
         for n_c in range(nc_lo, nc_hi + 1):
-            config = DetectConfig(
-                method=args.method,
-                n_c=n_c,
-                k=k,
-                gamma=args.gamma,
-                dt=args.dt,
-                n_runs=args.runs,
-                max_iter=args.max_iter,
-                tol=args.tol,
-                seed=args.seed,
-                eig_tol=args.eig_tol,
-            )
+            config = _config(args, n_c, k)
             result = detect(net, deg, config, basis=basis, threads=args.threads)
             q = result.best.modularity
             rows.append((n_c, k, q))

@@ -3,22 +3,27 @@
 `largest_eigenpairs` computes the k algebraically largest eigenpairs of a
 symmetric LinearOperator.  Small operators (dim <= dense_cutoff) are
 solved directly with a dense decomposition, which resolves repeated
-eigenvalues exactly.  Larger ones use thick-restart Lanczos with full
-reorthogonalization (two-pass Gram-Schmidt); the projected matrix is
-filled from the actual Gram-Schmidt coefficients rather than assumed
-tridiagonal, and after a restart the basis is compressed to the leading
-Ritz vectors and the projection resumes from their diagonal block.
+eigenvalues exactly.  Larger ones use thick-restart Lanczos (Wu & Simon
+2000) with full reorthogonalization (two-pass Gram-Schmidt) in a working
+subspace of m = min(dim, k + max(k, 15)) vectors.  The projected matrix
+H is filled from the actual Gram-Schmidt coefficients, so
+``A V = V H + beta v e_m^T`` holds with the next basis vector v; each
+restart keeps the leading Ritz vectors and continues from v.
 
-Convergence is always certified by explicit residual norms
-``||A x - theta x|| <= tol * scale``, where ``scale`` is the larger of
-``scale_floor`` and a spectral-radius estimate (the largest Ritz value
-magnitude seen, which Lanczos only ever underestimates, so the check
-errs strict); it is never inferred from the projected problem alone.  A
-single Krylov sequence cannot split a repeated eigenvalue, so converged
-residuals alone may silently return only one copy of a multiple
-eigenvalue; the iteration therefore accepts a result only after a
-re-expansion seeded with a fresh random direction reproduces the same
-top-k Ritz values.
+Every Ritz residual is then a multiple of v, and its norm is estimated
+by ``beta * |s[m-1, i]|`` from the projected eigenvectors s at no extra
+cost.  Once the estimates pass, the pairs are certified by their true
+residuals ``||A x - theta x|| <= tol * scale``, where ``scale`` is the
+larger of ``scale_floor`` and a spectral-radius estimate (the largest
+Ritz value magnitude, which Lanczos only ever underestimates, so the
+check errs strict); it is never inferred from the projected problem
+alone.  A single Krylov sequence cannot split a repeated eigenvalue, so
+certified residuals can still hide a missed copy.  At exit the found
+pairs are therefore moved down to theta_k - scale (Hotelling deflation)
+and one Lanczos run finds the top eigenvalue of the deflated operator.
+If it lies above theta_k, a copy was missed: the thick restart resumes
+from the found pairs plus that direction.  After k such rounds the
+solver raises `ConvergenceError`.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import gamma_vector
-from .operators import modularity_op, shifted_neg_lk_op
+from .operators import LinearOperator, modularity_op, shifted_neg_lk_op
 
 __all__ = [
     "SpectralBasis",
@@ -41,6 +46,9 @@ __all__ = [
 ]
 
 METHODS = ("mpbtv", "dgfm3")
+
+# restart budget of one thick-restart Lanczos sequence
+_MAX_RESTARTS = 500
 
 
 class ConvergenceError(RuntimeError):
@@ -127,16 +135,88 @@ def _dense_eigenpairs(op, k, tol, scale_floor):
     return SpectralBasis(theta, ritz, resid, op.label)
 
 
-def largest_eigenpairs(
-    op,
-    k,
-    tol=1e-8,
-    max_restarts=500,
-    rng_seed=0,
-    subspace_factor=2.0,
-    scale_floor=0.0,
-    dense_cutoff=600,
-):
+def _thick_restart(op, k, tol, scale_floor, rng, start, locked=None):
+    """Thick-restart Lanczos for the k largest eigenpairs of op.
+
+    The Krylov basis starts from the direction ``start``; given
+    ``locked = (theta, x)``, it starts from the Ritz pairs (theta, x)
+    followed by ``start``, which must be orthogonal to x.  Returns the
+    top-k Ritz values and vectors, their true residual norms and the
+    residual scale once every residual is within tol * scale.
+    """
+    dim = op.dim
+    m = min(dim, k + max(k, 15))
+    V = np.zeros((dim, m + 1))
+    H = np.zeros((m, m))
+    keep = 0
+    if locked is not None:
+        keep = locked[0].size
+        V[:, :keep] = locked[1]
+        H[np.arange(keep), np.arange(keep)] = locked[0]
+    V[:, keep] = start / np.linalg.norm(start)
+    for restart in range(_MAX_RESTARTS):
+        completed = keep  # projection columns finished so far
+        exhausted = False
+        while completed < m:
+            j = completed
+            w = op.apply(V[:, j])
+            c = V[:, : j + 1].T @ w
+            w -= V[:, : j + 1] @ c
+            c2 = V[:, : j + 1].T @ w
+            w -= V[:, : j + 1] @ c2
+            c += c2
+            H[: j + 1, j] = c
+            H[j, : j + 1] = c
+            beta = np.linalg.norm(w)
+            completed = j + 1
+            if beta > 1e-13 * max(abs(H[j, j]), scale_floor, 1.0):
+                V[:, completed] = w / beta
+            else:
+                # invariant subspace hit: drop w, continue in a fresh direction
+                beta = 0.0
+                fresh = _orthonormal_random(V, completed, rng, dim)
+                if fresh is None:
+                    exhausted = True
+                    break
+                V[:, completed] = fresh
+            if completed < m:
+                H[completed, j] = H[j, completed] = beta
+        ncols = completed
+        theta, s = np.linalg.eigh(H[:ncols, :ncols])
+        theta = theta[::-1]
+        s = s[:, ::-1]
+        scale = max(abs(theta[0]), abs(theta[-1]), scale_floor, np.finfo(float).tiny)
+        # A V = V H + beta V[:, m] e_m^T: each Ritz residual is the estimate
+        # beta * |s[m-1, i]| times V[:, m].  Certify once the estimates pass.
+        est = beta * np.abs(s[ncols - 1, :k])
+        if exhausted or np.all(est <= tol * scale) or restart == _MAX_RESTARTS - 1:
+            ritz = V[:, :ncols] @ s[:, :k]
+            resid = np.linalg.norm(op.apply(ritz) - ritz * theta[:k], axis=0)
+            if np.all(resid <= tol * scale):
+                return theta[:k].copy(), ritz, resid, scale
+        if exhausted:
+            raise ConvergenceError("tolerance unreachable in the full space", resid)
+        # thick restart: compress to the leading Ritz vectors and continue
+        # from the residual direction
+        keep = min(k + 8, ncols - 1)
+        V[:, :keep] = V[:, :ncols] @ s[:, :keep]
+        V[:, keep] = V[:, m]
+        H[:, :] = 0.0
+        H[np.arange(keep), np.arange(keep)] = theta[:keep]
+    raise ConvergenceError(
+        f"no convergence after {_MAX_RESTARTS} restarts; "
+        f"worst residual {float(resid.max()):.3e}",
+        resid,
+    )
+
+
+def _hotelling(op, theta, x, scale):
+    """op with the pairs (theta, x) moved down to theta[-1] - scale."""
+    shift = theta - (theta[-1] - scale)
+    return LinearOperator(op.dim, lambda v: op.apply(v) - x @ (shift * (x.T @ v)), op.label)
+
+
+def largest_eigenpairs(op, k, tol=1e-8, rng_seed=0, scale_floor=0.0, dense_cutoff=600):
     """Compute the k largest eigenpairs of a symmetric operator.
 
     Parameters
@@ -148,13 +228,9 @@ def largest_eigenpairs(
         Number of requested eigenpairs, 1 <= k < op.dim.
     tol : float
         Relative residual tolerance.
-    max_restarts : int
-        Restart budget before giving up.
     rng_seed : int
-        Seed for the start vector (and any breakdown replacements), making
-        the computation deterministic.
-    subspace_factor : float
-        Working subspace size m = min(dim, max(ceil(factor * k), k + 15)).
+        Seed for the start vectors (and any breakdown replacements),
+        making the computation deterministic.
     scale_floor : float
         Lower bound for the residual scale; pass the spectral shift when
         solving a shifted problem.
@@ -171,108 +247,36 @@ def largest_eigenpairs(
     ValueError
         If k is out of range.
     ConvergenceError
-        If residuals fail to reach tol * scale within the restart budget.
+        If residuals fail to reach tol * scale within the restart budget,
+        or copies of repeated eigenvalues are still missing after k
+        deflation checks.
     """
     dim = op.dim
     if not 1 <= k < dim:
         raise ValueError(f"need 1 <= k < dim, got k={k}, dim={dim}")
     if dim <= dense_cutoff:
         return _dense_eigenpairs(op, k, tol, scale_floor)
-    m = min(dim, max(int(math.ceil(subspace_factor * k)), k + 15))
     rng = np.random.default_rng(rng_seed)
-    V = np.zeros((dim, m + 1))
-    H = np.zeros((m, m))
-    v0 = rng.standard_normal(dim)
-    V[:, 0] = v0 / np.linalg.norm(v0)
-    completed = 0  # projection columns finished so far
-    nb = 1  # orthonormal basis vectors currently held
-    best_resid = None
-    prev_theta = None  # converged Ritz values awaiting re-expansion check
-    force_random = False
-    for _ in range(max_restarts):
-        while completed < m:
-            j = completed
-            w = op.apply(V[:, j])
-            c = V[:, :nb].T @ w
-            w -= V[:, :nb] @ c
-            c2 = V[:, :nb].T @ w
-            w -= V[:, :nb] @ c2
-            c += c2
-            H[:nb, j] = c[:nb]
-            H[j, :nb] = c[:nb]
-            beta = np.linalg.norm(w)
-            completed = j + 1
-            if completed == m:
-                V[:, m] = w / beta if beta > 0 else 0.0
-                break
-            floor = 1e-13 * max(abs(H[j, j]), scale_floor, 1.0)
-            if beta > floor:
-                V[:, completed] = w / beta
-                H[completed, j] = beta
-                H[j, completed] = beta
-            else:
-                # invariant subspace hit: continue in a fresh direction
-                repl = _orthonormal_random(V, completed, rng, dim)
-                if repl is None:
-                    break
-                V[:, completed] = repl
-            nb = completed + 1
-        ncols = completed
-        theta, s = np.linalg.eigh(H[:ncols, :ncols])
-        theta = theta[::-1]
-        s = s[:, ::-1]
-        ritz = V[:, :ncols] @ s[:, :k]
-        av = op.apply(ritz)
-        resid = np.linalg.norm(av - ritz * theta[:k], axis=0)
-        best_resid = resid
-        scale = max(abs(theta[0]), abs(theta[-1]), scale_floor, np.finfo(float).tiny)
-        if np.all(resid <= tol * scale):
-            vtol = max(10.0 * tol, 1e-10) * scale
-            if prev_theta is not None and np.all(np.abs(theta[:k] - prev_theta) <= vtol):
-                return SpectralBasis(theta[:k].copy(), ritz, resid, op.label)
-            # a converged set can still lack a copy of a repeated
-            # eigenvalue; re-expand from a random direction and accept
-            # only when the Ritz values come back unchanged
-            prev_theta = theta[:k].copy()
-            force_random = True
-        # thick restart: compress to the leading Ritz vectors and resume
-        keep = min(k + 8, ncols - 1) if ncols > 1 else 1
-        V[:, :keep] = V[:, :ncols] @ s[:, :keep]
-        H[:, :] = 0.0
-        H[np.arange(keep), np.arange(keep)] = theta[:keep]
-        nrm = 0.0
-        if not force_random:
-            # continue from the worst monitored pair's residual vector:
-            # it is Galerkin-orthogonal to the kept Ritz vectors and
-            # extends the space exactly where convergence lags
-            worst = int(np.argmax(resid))
-            nxt = av[:, worst] - theta[worst] * ritz[:, worst]
-            nrm = np.linalg.norm(nxt)
-            if nrm <= 1e-13 * scale:
-                nxt = V[:, m]
-                nrm = np.linalg.norm(nxt)
-            if nrm > 1e-13:
-                nxt = nxt / nrm
-                nxt -= V[:, :keep] @ (V[:, :keep].T @ nxt)
-                nrm = np.linalg.norm(nxt)
-        if nrm > 1e-8:
-            V[:, keep] = nxt / nrm
-        else:
-            repl = _orthonormal_random(V, keep, rng, dim)
-            if repl is None:
-                raise ConvergenceError("cannot extend basis", best_resid)
-            V[:, keep] = repl
-        force_random = False
-        completed = keep
-        nb = keep + 1
-    raise ConvergenceError(
-        f"no convergence after {max_restarts} restarts; "
-        f"worst residual {float(best_resid.max()):.3e}",
-        best_resid,
+    theta, ritz, resid, scale = _thick_restart(
+        op, k, tol, scale_floor, rng, rng.standard_normal(dim)
     )
+    for _ in range(k):
+        # one Krylov sequence cannot split a repeated eigenvalue; with the
+        # found pairs moved below theta_k, a missed copy is the top of the
+        # deflated operator (a tie with theta_k at the cut is accepted)
+        mu, y, _, _ = _thick_restart(
+            _hotelling(op, theta, ritz, scale), 1, tol, scale, rng, rng.standard_normal(dim)
+        )
+        if mu[0] <= theta[-1] + max(10.0 * tol, 1e-10) * scale:
+            return SpectralBasis(theta, ritz, resid, op.label)
+        y = y[:, 0] - ritz @ (ritz.T @ y[:, 0])
+        theta, ritz, resid, scale = _thick_restart(
+            op, k, tol, scale_floor, rng, y, locked=(theta, ritz)
+        )
+    raise ConvergenceError(f"copies still missing after {k} deflation checks", resid)
 
 
-def basis_for_method(method, net, deg, gamma, k, tol=1e-8, rng_seed=0, subspace_factor=2.0):
+def basis_for_method(method, net, deg, gamma, k, tol=1e-8, rng_seed=0):
     """Build the spectral basis a detection method diffuses in.
 
     ``mpbtv`` uses the k least-negative eigenpairs of minus (Laplacian +
@@ -297,33 +301,31 @@ def basis_for_method(method, net, deg, gamma, k, tol=1e-8, rng_seed=0, subspace_
     gamma = gamma_vector(gamma, net.L)
     if method == "mpbtv":
         op, sigma = shifted_neg_lk_op(net, deg, gamma)
-        raw = largest_eigenpairs(
-            op, k, tol=tol, rng_seed=rng_seed, subspace_factor=subspace_factor, scale_floor=sigma
-        )
+        raw = largest_eigenpairs(op, k, tol=tol, rng_seed=rng_seed, scale_floor=sigma)
         return SpectralBasis(
             raw.eigenvalues - sigma, raw.eigenvectors, raw.residuals, op.label, shift=sigma
         )
     if method == "dgfm3":
         op = modularity_op(net, deg, gamma)
-        return largest_eigenpairs(
-            op, k, tol=tol, rng_seed=rng_seed, subspace_factor=subspace_factor
-        )
+        return largest_eigenpairs(op, k, tol=tol, rng_seed=rng_seed)
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
 def save_basis(basis, path, meta=None):
-    """Cache a basis to an .npz file, with optional metadata strings."""
+    """Cache a basis to an .npz file at exactly ``path``, with optional metadata strings."""
     meta = meta or {}
     items = {f"meta_{key}": np.str_(str(val)) for key, val in meta.items()}
-    np.savez(
-        path,
-        eigenvalues=basis.eigenvalues,
-        eigenvectors=basis.eigenvectors,
-        residuals=basis.residuals,
-        operator_label=np.str_(basis.operator_label),
-        shift=np.float64(basis.shift),
-        **items,
-    )
+    # through a file handle: given a name, np.savez would append ".npz"
+    with open(path, "wb") as fh:
+        np.savez(
+            fh,
+            eigenvalues=basis.eigenvalues,
+            eigenvectors=basis.eigenvectors,
+            residuals=basis.residuals,
+            operator_label=np.str_(basis.operator_label),
+            shift=np.float64(basis.shift),
+            **items,
+        )
 
 
 def load_basis(path):

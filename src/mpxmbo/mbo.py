@@ -60,7 +60,6 @@ class DetectConfig:
     tol: float = 1e-8
     seed: int = 0
     eig_tol: float = 1e-8
-    subspace_factor: float = 2.0
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -83,10 +82,8 @@ class DetectConfig:
             raise ValueError("n_runs must be >= 1")
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
-        if self.tol <= 0 or self.eig_tol <= 0:
+        if not (self.tol > 0 and self.eig_tol > 0):
             raise ValueError("tolerances must be positive")
-        if self.subspace_factor < 1.0:
-            raise ValueError("subspace_factor must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -211,7 +208,6 @@ def detect(net, deg, config, basis=None, threads=1):
             config.k,
             tol=config.eig_tol,
             rng_seed=config.seed,
-            subspace_factor=config.subspace_factor,
         )
         offline = time.perf_counter() - t0
     else:

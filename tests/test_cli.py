@@ -226,6 +226,22 @@ def test_basis_cache_reuse_and_stale(capsys, tmp_path):
     assert get_field(out3, "offline seconds") != "0"
 
 
+def test_basis_cache_path_without_npz_suffix(capsys, tmp_path):
+    # the cache is written to exactly the given path, so the second run
+    # finds it even without an .npz suffix
+    cache = tmp_path / "basis"
+    base = [
+        "detect", "--input", FLORENTINE, "--method", "mpbtv", "--nc", "3", "--k", "5",
+        "--runs", "3", "--basis-cache", str(cache), "--out", str(tmp_path / "p.tsv"),
+    ]
+    rc, _, _ = run_cli(capsys, *base)
+    assert rc == 0 and cache.exists()
+    rc, out, err = run_cli(capsys, *base)
+    assert rc == 0
+    assert get_field(out, "offline seconds") == "0"
+    assert err == ""
+
+
 def test_basis_cache_keyed_on_edges(capsys, tmp_path):
     # same n, L and total strength, different edges: the cached basis of
     # the first network must not be reused for the second

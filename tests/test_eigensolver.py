@@ -5,6 +5,8 @@ import pytest
 
 from mpxmbo import (
     ConvergenceError,
+    LinearOperator,
+    MultiplexNetwork,
     SpectralBasis,
     basis_for_method,
     compute_degrees,
@@ -77,6 +79,38 @@ def _mpbtv_iterative(net, deg, k):
     return SpectralBasis(raw.eigenvalues - sigma, raw.eigenvectors, raw.residuals, op.label, sigma)
 
 
+def test_doubled_spectrum_all_copies_found():
+    # kron(I2, B) holds every eigenvalue of B twice; a single Krylov
+    # sequence sees one copy of each, so the second copies of the top two
+    # have to come from the deflation check
+    g = np.random.default_rng(1).standard_normal((173, 173))
+    a = np.kron(np.eye(2), g + g.T)
+    op = LinearOperator(a.shape[0], lambda x: a @ x, "doubled")
+    basis = largest_eigenpairs(op, 4, tol=1e-10, dense_cutoff=0, rng_seed=1)
+    check_against_dense(op, basis, 4, 1e-10)
+    assert basis.eigenvalues[0] - basis.eigenvalues[1] <= 1e-8
+    assert basis.eigenvalues[2] - basis.eigenvalues[3] <= 1e-8
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_identical_layers_mpbtv_all_copies_found(seed):
+    # two identical uncoupled layers double every eigenvalue of the
+    # supra operator; nL = 640 takes the iterative path
+    n = 320
+    rng = np.random.default_rng(seed)
+    e = rng.integers(0, n, size=(4 * n, 2))
+    e = e[e[:, 0] != e[:, 1]]
+    layer = np.zeros((n, n))
+    layer[e[:, 0], e[:, 1]] = 1.0
+    layer = np.maximum(layer, layer.T)
+    net = MultiplexNetwork.from_dense_layers([layer, layer.copy()], coupling=None, omega=0.0)
+    deg = compute_degrees(net)
+    basis = basis_for_method("mpbtv", net, deg, 1.0, 6)
+    lk = dense_laplacian(net) + dense_balance(net, np.array([1.0, 1.0]))
+    ref = -np.linalg.eigvalsh(lk)[:6]
+    assert np.abs(basis.eigenvalues - ref).max() <= 1e-6
+
+
 def test_mpbtv_basis_unshifted_and_negative(florentine):
     net, deg = florentine
     basis = basis_for_method("mpbtv", net, deg, 1.0, 6)
@@ -124,7 +158,7 @@ def test_unreachable_tolerance_raises(florentine):
     net, deg = florentine
     op = modularity_op(net, deg, np.array([1.0, 1.0]))
     with pytest.raises(ConvergenceError) as info:
-        largest_eigenpairs(op, 4, tol=0.0, max_restarts=3, dense_cutoff=0)
+        largest_eigenpairs(op, 4, tol=0.0, dense_cutoff=0)
     assert info.value.residuals is not None
     assert np.all(info.value.residuals >= 0)
 

@@ -68,9 +68,9 @@ def test_run_rng_independent_of_order():
         {"max_iter": -1},
         {"tol": 0.0},
         {"eig_tol": 0.0},
-        {"subspace_factor": 0.5},
         {"dt": float("nan")},
         {"gamma": (1.0, float("inf"))},
+        {"eig_tol": float("nan")},
     ],
 )
 def test_config_validation(kwargs):

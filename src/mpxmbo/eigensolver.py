@@ -293,12 +293,16 @@ def basis_for_method(method, net, deg, gamma, k, tol=1e-8, rng_seed=0):
         Per-layer resolution parameters.
     k : int
         Basis size, 1 <= k < nL.
+    tol : float
+        Relative residual tolerance, > 0.
 
     Returns
     -------
     SpectralBasis
     """
     gamma = gamma_vector(gamma, net.L)
+    if not tol > 0:  # also NaN: it would use up every restart, then fail
+        raise ValueError("tolerances must be positive")
     if method == "mpbtv":
         op, sigma = shifted_neg_lk_op(net, deg, gamma)
         raw = largest_eigenpairs(op, k, tol=tol, rng_seed=rng_seed, scale_floor=sigma)

@@ -8,7 +8,11 @@ row ``(l-1)*n + (j-1)`` of every length-``n*L`` vector.
 
 File formats
 ------------
-Network file (UTF-8 text):
+All files are UTF-8 text with whitespace-separated fields; blank lines are
+skipped, a line starting with ``#`` is a comment (a later ``#`` belongs to
+a field), ids read as ``int`` reads them and weights as ``float`` does.
+
+Network file:
     * header line ``#multiplex n=<n> L=<L>`` before any edge line,
     * other lines starting with ``#`` are comments,
     * edge lines ``layer <TAB> u <TAB> v [<TAB> weight]`` (weight defaults
@@ -29,7 +33,9 @@ communities, one line per node-layer pair, sorted by (layer, node).
 
 from __future__ import annotations
 
+import itertools
 import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -309,6 +315,8 @@ class Partition:
 
 
 _HEADER_RE = re.compile(r"#multiplex\s+n=(\d+)\s+L=(\d+)\s*$")
+_DTYPES = {int: np.int64, float: np.float64, str: object}
+_PAIR = "pair ({},{})"
 
 
 def _data_lines(path):
@@ -318,6 +326,109 @@ def _data_lines(path):
             line = raw.strip()
             if line:
                 yield lineno, line
+
+
+class _Rows:
+    """Typed columns of a file's data lines, and what reading them met.
+
+    ``comments`` holds the (line, text) of the ``#`` lines read, ``first``
+    the first data line, and ``fault`` the (line, message or exception)
+    that stopped reading.  Row line numbers are counted only for an error.
+    """
+
+    def __init__(self, path, cols, comments, first, lines=None, fault=None):
+        self.path, self.cols, self.comments = path, cols, comments
+        self.first, self.lines, self.fault = first, lines, fault
+
+    def line(self, i):
+        if self.lines is None:
+            self.lines = [no for no, line in _data_lines(self.path) if line[0] != "#"]
+        return self.lines[i]
+
+
+def _read_rows(path, kinds, what, expected, mixed=None):
+    """Read the data lines of a whitespace-separated file as typed columns.
+
+    ``kinds`` maps each accepted column count to its column types (int,
+    float or str), then the values of the columns a shorter line leaves
+    out; ``mixed`` is the error for a count unlike the first line's.  Each
+    line reads as ``str.split``, ``int`` and ``float`` read it: with
+    `np.loadtxt` if it accepts the file, with Python otherwise (tokens such
+    as ``1_0``, mixed counts, comments after data, or a fault).
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            comments, line = [], ""
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if line and line[0] != "#":
+                    break
+                if line:
+                    comments.append((lineno, line))
+            width = len(line.split())
+            if line and line[0] != "#" and width in kinds:
+                dtype = [(f"c{j}", _DTYPES[t]) for j, t in enumerate(kinds[width][:width])]
+                with warnings.catch_warnings():
+                    # older numpy reads "1.0" in an int column, with only this warning
+                    warnings.simplefilter("error", DeprecationWarning)
+                    table = np.loadtxt(itertools.chain([raw], fh), dtype, comments=None, ndmin=1)
+                cols = [table[name] for name, _ in dtype]
+                cols += [np.full(table.size, value) for value in kinds[width][width:]]
+                return _Rows(path, cols, comments, lineno)
+    except (ValueError, DeprecationWarning):
+        pass  # a line loadtxt refuses, or bytes that are not UTF-8
+    rows, lines, comments, first, fault = [], [], [], None, None
+    try:
+        for lineno, line in _data_lines(path):
+            if line[0] == "#":
+                comments.append((lineno, line))
+                continue
+            parts = line.split()
+            first = first or lineno
+            if len(parts) not in kinds or (mixed and rows and len(parts) != len(rows[0])):
+                fault = (lineno, expected if len(parts) not in kinds else mixed)
+                break
+            kind = kinds[len(parts)]
+            try:
+                rows.append([t(x) for t, x in zip(kind, parts)] + list(kind[len(parts) :]))
+            except ValueError as exc:
+                fault = (lineno, f"cannot parse {what} line: {exc}")
+                break
+            lines.append(lineno)
+    except UnicodeDecodeError as exc:  # raised after the lines before it
+        fault = (float("inf"), exc)
+    types = kinds[len(rows[0])] if rows else kinds[max(kinds)]
+    cols = [_column(c, t) for c, t in zip(list(zip(*rows)) or [()] * len(types), types)]
+    return _Rows(path, cols, comments, first, lines, fault)
+
+
+def _column(values, kind):
+    try:
+        return np.array(values, dtype=_DTYPES[kind])
+    except OverflowError:  # ids past int64 stay exact for the error message
+        return np.array(values, dtype=object)
+
+
+def _first_of(key):
+    """For each row, the index of the first row with an equal key."""
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return first[inverse]
+
+
+def _raise_first(rows, found, checks):
+    """Raise the error of the earliest faulty line, as a line loop would.
+
+    ``found`` holds known (line, message) faults and ``checks`` (mask,
+    message of row i) pairs, both in the order one line is checked in.
+    """
+    found = list(found) + ([rows.fault] if rows.fault else [])
+    for mask, message in checks:
+        if mask.any():
+            i = int(mask.argmax())
+            found.append((rows.line(i), message(i)))
+    if found:
+        line, error = min(found, key=lambda fault: fault[0])
+        raise error if isinstance(error, Exception) else NetworkFormatError(error, rows.path, line)
 
 
 def load_network(path, coupling_path=None, omega=1.0):
@@ -340,81 +451,64 @@ def load_network(path, coupling_path=None, omega=1.0):
     -------
     MultiplexNetwork
     """
-    n = L = None
-    buckets = None  # per layer: ([rows], [cols], [weights])
-    for lineno, line in _data_lines(path):
-        if line.startswith("#"):
-            m = _HEADER_RE.match(line)
-            if m:
-                if n is not None:
-                    raise NetworkFormatError("duplicate #multiplex header", path, lineno)
-                n, L = int(m.group(1)), int(m.group(2))
-                if n < 1 or L < 1:
-                    raise NetworkFormatError("header requires n >= 1 and L >= 1", path, lineno)
-                buckets = [([], [], []) for _ in range(L)]
-            continue
-        if n is None:
-            raise NetworkFormatError("edge line before #multiplex header", path, lineno)
-        parts = line.split()
-        if len(parts) not in (3, 4):
-            raise NetworkFormatError("expected 'layer u v [weight]'", path, lineno)
-        try:
-            layer, u, v = int(parts[0]), int(parts[1]), int(parts[2])
-            w = float(parts[3]) if len(parts) == 4 else 1.0
-        except ValueError as exc:
-            raise NetworkFormatError(f"cannot parse edge line: {exc}", path, lineno) from None
-        if not 1 <= layer <= L:
-            raise NetworkFormatError(f"layer id {layer} out of range 1..{L}", path, lineno)
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise NetworkFormatError(f"node id out of range 1..{n}", path, lineno)
-        if not np.isfinite(w):
-            raise NetworkFormatError("non-finite weight", path, lineno)
-        if w < 0:
-            raise NetworkFormatError(f"negative weight {w}", path, lineno)
-        rows, cols, data = buckets[layer - 1]
-        rows.append(u - 1)
-        cols.append(v - 1)
-        data.append(w)
-        if u != v:
-            rows.append(v - 1)
-            cols.append(u - 1)
-            data.append(w)
-    if n is None:
+    kinds = {3: (int, int, int, 1.0), 4: (int, int, int, float)}
+    rows = _read_rows(path, kinds, "edge", "expected 'layer u v [weight]'")
+    headers = [(no, m) for no, line in rows.comments if (m := _HEADER_RE.match(line))]
+    found, n, L = [(no, "duplicate #multiplex header") for no, _ in headers[1:2]], 0, 0
+    if headers:
+        n, L = int(headers[0][1].group(1)), int(headers[0][1].group(2))
+        if n < 1 or L < 1:
+            found.append((headers[0][0], "header requires n >= 1 and L >= 1"))
+    if rows.first is not None and (not headers or rows.first < headers[0][0]):
+        found.append((rows.first, "edge line before #multiplex header"))
+    layer, u, v, w = rows.cols
+    _raise_first(rows, found, [
+        ((layer < 1) | (layer > L), lambda i: f"layer id {layer[i]} out of range 1..{L}"),
+        ((u < 1) | (u > n) | (v < 1) | (v > n), lambda i: f"node id out of range 1..{n}"),
+        (~np.isfinite(w), lambda i: "non-finite weight"),
+        (w < 0, lambda i: f"negative weight {float(w[i])}"),
+    ])  # fmt: skip
+    if not headers:
         raise NetworkFormatError("missing #multiplex header", path)
-    intra = tuple(SparseSym.from_coo(n, r, c, d) for r, c, d in buckets)
+    # per layer, both orientations of each line in file order (a self-loop
+    # once), so that duplicates sum in the order a line loop sums them
+    intra = []
+    cuts = np.cumsum(np.bincount(layer - 1, minlength=L))[:-1]
+    for lines in np.split(np.argsort(layer, kind="stable"), cuts):
+        a, b = u[lines] - 1, v[lines] - 1
+        keep = np.ones(2 * lines.size, dtype=bool)
+        keep[1::2] = a != b
+        r, c = np.column_stack([a, b]).ravel(), np.column_stack([b, a]).ravel()
+        intra.append(SparseSym.from_coo(n, r[keep], c[keep], np.repeat(w[lines], 2)[keep]))
     if coupling_path is None:
         coupling = all_to_all_coupling(L)
     else:
         coupling = _load_coupling(coupling_path, L)
-    return MultiplexNetwork(n, L, intra, coupling, omega)
+    return MultiplexNetwork(n, L, tuple(intra), coupling, omega)
 
 
 def _load_coupling(path, L):
+    rows = _read_rows(path, {3: (int, int, float)}, "coupling", "expected 'k l weight'")
+    k, l, w = rows.cols
+    lo, hi = np.minimum(k, l), np.maximum(k, l)
+    _raise_first(rows, [], [
+        ((k < 1) | (k > L) | (l < 1) | (l > L), lambda i: f"layer id out of range 1..{L}"),
+        (k == l, lambda i: "self-referential coupling entry"),
+        (~np.isfinite(w) | (w < 0), lambda i: "coupling weight must be finite and >= 0"),
+        (_first_of(lo * (L + 1) + hi) != np.arange(k.size),
+         lambda i: f"duplicate coupling entry for layers {(int(lo[i]), int(hi[i]))}"),
+    ])  # fmt: skip
     coupling = np.zeros((L, L))
-    seen = set()
-    for lineno, line in _data_lines(path):
-        if line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise NetworkFormatError("expected 'k l weight'", path, lineno)
-        try:
-            k, l, w = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError as exc:
-            raise NetworkFormatError(f"cannot parse coupling line: {exc}", path, lineno) from None
-        if not (1 <= k <= L and 1 <= l <= L):
-            raise NetworkFormatError(f"layer id out of range 1..{L}", path, lineno)
-        if k == l:
-            raise NetworkFormatError("self-referential coupling entry", path, lineno)
-        if not np.isfinite(w) or w < 0:
-            raise NetworkFormatError("coupling weight must be finite and >= 0", path, lineno)
-        key = (min(k, l), max(k, l))
-        if key in seen:
-            raise NetworkFormatError(f"duplicate coupling entry for layers {key}", path, lineno)
-        seen.add(key)
-        coupling[k - 1, l - 1] = w
-        coupling[l - 1, k - 1] = w
+    coupling[k - 1, l - 1] = w
+    coupling[l - 1, k - 1] = w
     return coupling
+
+
+def _write_rows(fh, fmt, *cols):
+    """Write one ``fmt`` line per row of ``cols``, one format call per block."""
+    for start in range(0, len(cols[0]), 1 << 16):
+        block = [c[start : start + (1 << 16)].tolist() for c in cols]
+        fh.write(fmt * len(block[0]) % tuple(itertools.chain.from_iterable(zip(*block))))
 
 
 def save_network(net, path):
@@ -423,17 +517,20 @@ def save_network(net, path):
         fh.write(f"#multiplex n={net.n} L={net.L}\n")
         for l, a in enumerate(net.intra, start=1):
             keep = a.rows <= a.cols
-            for i, j, w in zip(a.rows[keep], a.cols[keep], a.data[keep]):
-                fh.write(f"{l}\t{i + 1}\t{j + 1}\t{w:.12g}\n")
+            _write_rows(fh, f"{l}\t%d\t%d\t%.12g\n", a.rows[keep] + 1, a.cols[keep] + 1, a.data[keep])
 
 
 def save_coupling(net, path):
     """Write the layer-coupling matrix (upper-triangle entries)."""
+    k, l = np.nonzero(np.triu(net.coupling, 1))
     with open(path, "w", encoding="utf-8") as fh:
-        for k in range(net.L):
-            for l in range(k + 1, net.L):
-                if net.coupling[k, l] != 0:
-                    fh.write(f"{k + 1}\t{l + 1}\t{net.coupling[k, l]:.12g}\n")
+        _write_rows(fh, "%d\t%d\t%.12g\n", k + 1, l + 1, net.coupling[k, l])
+
+
+def _check_complete(assignment, n, where, path):
+    if not assignment.all():
+        layer, node = divmod(int(assignment.argmin()), n)
+        raise NetworkFormatError("missing label for " + where.format(node + 1, layer + 1), path)
 
 
 def load_labels(path, net):
@@ -454,60 +551,30 @@ def load_labels(path, net):
     Partition
     """
     n, L = net.n, net.L
-    entries = []  # (node0, layer0 or None, label string)
-    ncols = None
-    for lineno, line in _data_lines(path):
-        if line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) not in (2, 3):
-            raise NetworkFormatError("expected 'node label' or 'node layer label'", path, lineno)
-        if ncols is None:
-            ncols = len(parts)
-        elif len(parts) != ncols:
-            raise NetworkFormatError("mixed label-file formats", path, lineno)
-        try:
-            node = int(parts[0])
-            layer = int(parts[1]) if ncols == 3 else None
-        except ValueError as exc:
-            raise NetworkFormatError(f"cannot parse label line: {exc}", path, lineno) from None
-        if not 1 <= node <= n:
-            raise NetworkFormatError(f"node id {node} out of range 1..{n}", path, lineno)
-        if layer is not None and not 1 <= layer <= L:
-            raise NetworkFormatError(f"layer id {layer} out of range 1..{L}", path, lineno)
-        entries.append((lineno, node - 1, None if layer is None else layer - 1, parts[-1]))
-    if ncols is None:
+    rows = _read_rows(
+        path, {2: (int, str), 3: (int, int, str)}, "label",
+        "expected 'node label' or 'node layer label'", mixed="mixed label-file formats",
+    )  # fmt: skip
+    node, layer, labels = rows.cols[0], rows.cols[-2], rows.cols[-1].tolist()
+    per_pair = len(rows.cols) == 3
+    _raise_first(rows, [], [
+        ((node < 1) | (node > n), lambda i: f"node id {node[i]} out of range 1..{n}"),
+        (per_pair & ((layer < 1) | (layer > L)),
+         lambda i: f"layer id {layer[i]} out of range 1..{L}"),
+    ])  # fmt: skip
+    if not labels:
         raise NetworkFormatError("empty label file", path)
-    remap = {}
-    for _, _, _, lab in entries:
-        if lab not in remap:
-            remap[lab] = len(remap) + 1
-    assignment = np.zeros(n * L, dtype=np.int64)
-    if ncols == 2:
-        per_node = np.zeros(n, dtype=np.int64)
-        for lineno, node, _, lab in entries:
-            code = remap[lab]
-            if per_node[node] and per_node[node] != code:
-                raise NetworkFormatError(f"conflicting labels for node {node + 1}", path, lineno)
-            per_node[node] = code
-        missing = np.flatnonzero(per_node == 0)
-        if missing.size:
-            raise NetworkFormatError(f"missing label for node {missing[0] + 1}", path)
-        assignment = np.tile(per_node, L)
-    else:
-        for lineno, node, layer, lab in entries:
-            idx = layer * n + node
-            code = remap[lab]
-            if assignment[idx] and assignment[idx] != code:
-                raise NetworkFormatError(
-                    f"conflicting labels for pair ({node + 1},{layer + 1})", path, lineno
-                )
-            assignment[idx] = code
-        missing = np.flatnonzero(assignment == 0)
-        if missing.size:
-            layer, node = divmod(int(missing[0]), n)
-            raise NetworkFormatError(f"missing label for pair ({node + 1},{layer + 1})", path)
-    return Partition(assignment, len(remap))
+    remap = {lab: code for code, lab in enumerate(dict.fromkeys(labels), start=1)}
+    code = np.array([remap[lab] for lab in labels], dtype=np.int64)
+    idx, where = ((layer - 1) * n + node - 1, _PAIR) if per_pair else (node - 1, "node {}")
+    _raise_first(rows, [], [
+        (code != code[_first_of(idx)],
+         lambda i: "conflicting labels for " + where.format(node[i], layer[i])),
+    ])  # fmt: skip
+    assignment = np.zeros(n * L if per_pair else n, dtype=np.int64)
+    assignment[idx] = code
+    _check_complete(assignment, n, where, path)
+    return Partition(assignment if per_pair else np.tile(assignment, L), len(remap))
 
 
 def load_partition(path, net):
@@ -517,29 +584,19 @@ def load_partition(path, net):
     inverse of `save_partition`.
     """
     n, L = net.n, net.L
+    rows = _read_rows(path, {3: (int, int, int)}, "partition", "expected 'node layer community'")
+    node, layer, com = rows.cols
+    idx = (layer - 1) * n + node - 1
+    _raise_first(rows, [], [
+        ((node < 1) | (node > n) | (layer < 1) | (layer > L),
+         lambda i: "node or layer id out of range"),
+        (com < 1, lambda i: f"community label {com[i]} must be >= 1"),
+        (com != com[_first_of(idx)],
+         lambda i: "conflicting labels for " + _PAIR.format(node[i], layer[i])),
+    ])  # fmt: skip
     assignment = np.zeros(n * L, dtype=np.int64)
-    for lineno, line in _data_lines(path):
-        if line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise NetworkFormatError("expected 'node layer community'", path, lineno)
-        try:
-            node, layer, com = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise NetworkFormatError(f"cannot parse partition line: {exc}", path, lineno) from None
-        if not (1 <= node <= n and 1 <= layer <= L):
-            raise NetworkFormatError("node or layer id out of range", path, lineno)
-        if com < 1:
-            raise NetworkFormatError(f"community label {com} must be >= 1", path, lineno)
-        idx = (layer - 1) * n + (node - 1)
-        if assignment[idx] and assignment[idx] != com:
-            raise NetworkFormatError(f"conflicting labels for pair ({node},{layer})", path, lineno)
-        assignment[idx] = com
-    missing = np.flatnonzero(assignment == 0)
-    if missing.size:
-        layer, node = divmod(int(missing[0]), n)
-        raise NetworkFormatError(f"missing label for pair ({node + 1},{layer + 1})", path)
+    assignment[idx] = com
+    _check_complete(assignment, n, _PAIR, path)
     return Partition(assignment, int(assignment.max()))
 
 
@@ -550,7 +607,7 @@ def save_partition(partition, net, path):
     """
     if partition.size != net.nL:
         raise ValueError("partition size does not match network")
+    nodes = np.arange(1, net.n + 1)
     with open(path, "w", encoding="utf-8") as fh:
-        for idx, com in enumerate(partition.assignment):
-            layer, node = divmod(idx, net.n)
-            fh.write(f"{node + 1}\t{layer + 1}\t{com}\n")
+        for layer, com in enumerate(partition.assignment.reshape(net.L, net.n), start=1):
+            _write_rows(fh, f"%d\t{layer}\t%d\n", nodes, com)

@@ -204,6 +204,21 @@ def test_spectrum_matches_dense_and_writes_file(capsys, tmp_path):
     assert len(file_rows) == 6
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["spectrum", "--operator", "lk", "--k", "3"],
+        ["spectrum", "--operator", "mod", "--k", "3"],
+        ["grid", "--method", "mpbtv", "--nc-range", "2:3", "--k-range", "3:4"],
+    ],
+)
+@pytest.mark.parametrize("eig_tol", ["0", "-1e-8", "nan"])
+def test_non_positive_eig_tol_rejected_before_solving(capsys, command, eig_tol):
+    rc, out, err = run_cli(capsys, *command, "--input", FLORENTINE, f"--eig-tol={eig_tol}")
+    assert (rc, err) == (1, "error: tolerances must be positive\n")
+    assert "\t" not in out
+
+
 def test_basis_cache_reuse_and_stale(capsys, tmp_path):
     cache = tmp_path / "basis.npz"
     out_a, out_b = tmp_path / "a.tsv", tmp_path / "b.tsv"

@@ -18,6 +18,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from .eigensolver import ConvergenceError, basis_for_method, load_basis, save_basis
 from .mbo import DetectConfig, detect
@@ -146,51 +148,37 @@ class UsageError(Exception):
     pass
 
 
-def _network_digest(net):
-    """sha256 over the canonical storage of every layer and the coupling."""
-    h = hashlib.sha256(f"{net.n} {net.L}".encode())
-    for a in net.intra:
-        h.update(a.nnz.to_bytes(8, "little"))
-        for arr in (a.rows, a.cols, a.data):
-            h.update(arr.tobytes())
-    h.update(net.coupling.tobytes())
-    return h.hexdigest()
+def _basis(net, deg, gamma, method, k, eig_tol, seed, cache=None):
+    """The basis of one problem, and the seconds spent computing it.
 
-
-def _cached_basis(path, net, deg, gamma, config):
-    """Load a cached basis when its metadata matches, else compute and store."""
-    want = {
-        "method": config.method,
-        "n": str(net.n),
-        "L": str(net.L),
-        "omega": _fmt(net.omega),
-        "gamma": ",".join(_fmt(g) for g in gamma),
-        "k": str(config.k),
-        "eig_tol": _fmt(config.eig_tol),
-        "seed": str(config.seed),
-        "network": _network_digest(net),
-    }
-    if os.path.exists(path):
-        try:
-            basis, meta = load_basis(path)
-        except Exception as exc:  # unreadable cache: recompute
-            print(f"note: ignoring unreadable basis cache ({exc})", file=sys.stderr)
-        else:
-            if meta == want and basis.dim == net.nL and basis.k == config.k:
-                return basis, 0.0
-            print("note: basis cache does not match parameters; recomputing", file=sys.stderr)
+    With a ``cache`` path, a basis stored there under the same key is
+    loaded (0 seconds); otherwise the basis is computed, and stored there
+    if a path is given.  The key is one sha256 over the exact bytes of
+    every parameter and of the network's canonical arrays and coupling.
+    """
+    if cache:
+        h = hashlib.sha256(f"{method} {k} {seed} {net.n} {net.L}".encode())
+        h.update(np.float64([eig_tol, net.omega]).tobytes() + gamma.tobytes())
+        for a in net.intra:
+            h.update(a.nnz.to_bytes(8, "little"))
+            for arr in (a.rows, a.cols, a.data):
+                h.update(arr.tobytes())
+        h.update(net.coupling.tobytes())
+        key = {"key": h.hexdigest()}
+        if os.path.exists(cache):
+            try:
+                basis, meta = load_basis(cache)
+            except Exception as exc:  # unreadable cache: recompute
+                print(f"note: ignoring unreadable basis cache ({exc})", file=sys.stderr)
+            else:
+                if meta == key and basis.dim == net.nL and basis.k == k:
+                    return basis, 0.0
+                print("note: basis cache does not match parameters; recomputing", file=sys.stderr)
     t0 = time.perf_counter()
-    basis = basis_for_method(
-        config.method,
-        net,
-        deg,
-        gamma,
-        config.k,
-        tol=config.eig_tol,
-        rng_seed=config.seed,
-    )
+    basis = basis_for_method(method, net, deg, gamma, k, tol=eig_tol, rng_seed=seed)
     elapsed = time.perf_counter() - t0
-    save_basis(basis, path, want)
+    if cache:
+        save_basis(basis, cache, key)
     return basis, elapsed
 
 
@@ -223,13 +211,11 @@ def _config(args, n_c, k):
 def cmd_detect(args):
     net, deg, gamma = _load(args)
     config = _config(args, args.nc, args.k)
-    basis = None
-    offline = None
-    if args.basis_cache:
-        basis, offline = _cached_basis(args.basis_cache, net, deg, gamma, config)
+    config.check(net)
+    basis, offline = _basis(
+        net, deg, gamma, config.method, config.k, config.eig_tol, config.seed, args.basis_cache
+    )
     result = detect(net, deg, config, basis=basis, threads=args.threads)
-    if offline is None:
-        offline = result.offline_seconds
     truth = load_labels(args.truth, net) if args.truth else None
     report = evaluate(result.best.partition, net, deg, gamma, truth)
     save_partition(result.best.partition, net, args.out)
@@ -258,23 +244,21 @@ def cmd_eval(args):
 
 def cmd_spectrum(args):
     net, deg, gamma = _load(args)
-    t0 = time.perf_counter()
     # lk: the mpbtv basis is minus the bottom of Laplacian + balance, so
     # report its negation, ascending; mod: the dgfm3 basis as it is
     method = "mpbtv" if args.operator == "lk" else "dgfm3"
-    basis = basis_for_method(method, net, deg, gamma, args.k, tol=args.eig_tol, rng_seed=args.seed)
+    basis, elapsed = _basis(net, deg, gamma, method, args.k, args.eig_tol, args.seed)
     # 0.0 - x rather than -x, so that an exact zero prints as 0, not -0
     values = 0.0 - basis.eigenvalues if args.operator == "lk" else basis.eigenvalues
-    residuals = basis.residuals
-    elapsed = time.perf_counter() - t0
-    for i, (lam, res) in enumerate(zip(values, residuals), start=1):
-        print(f"{i}\t{_fmt(lam)}\t{_fmt(res)}")
+    table = "".join(
+        f"{i}\t{_fmt(lam)}\t{_fmt(res)}\n"
+        for i, (lam, res) in enumerate(zip(values, basis.residuals), start=1)
+    )
+    print(table, end="")
     print(f"wall seconds: {_fmt(elapsed)}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("# index\teigenvalue\tresidual\n")
-            for i, (lam, res) in enumerate(zip(values, residuals), start=1):
-                fh.write(f"{i}\t{_fmt(lam)}\t{_fmt(res)}\n")
+            fh.write("# index\teigenvalue\tresidual\n" + table)
     return 0
 
 
@@ -295,33 +279,23 @@ def cmd_grid(args):
     k_lo, k_hi = _parse_range(args.k_range, "--k-range")
     # one offline solve at the largest k; smaller cells truncate columns,
     # which is sound because each eigenpair is certified individually
-    basis = basis_for_method(
-        args.method,
-        net,
-        deg,
-        gamma,
-        k_hi,
-        tol=args.eig_tol,
-        rng_seed=args.seed,
-    )
-    rows = []
+    basis, _ = _basis(net, deg, gamma, args.method, k_hi, args.eig_tol, args.seed)
+    rows = ["n_c\tk\tmodularity\n"]
     best = None
-    print("n_c\tk\tmodularity")
+    print(rows[0], end="")
     for k in range(k_lo, k_hi + 1):
         for n_c in range(nc_lo, nc_hi + 1):
             config = _config(args, n_c, k)
             result = detect(net, deg, config, basis=basis, threads=args.threads)
             q = result.best.modularity
-            rows.append((n_c, k, q))
-            print(f"{n_c}\t{k}\t{_fmt(q)}")
+            rows.append(f"{n_c}\t{k}\t{_fmt(q)}\n")
+            print(rows[-1], end="")
             if best is None or q > best[2]:
                 best = (n_c, k, q)
     print(f"best: n_c={best[0]} k={best[1]} modularity={_fmt(best[2])}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("n_c\tk\tmodularity\n")
-            for n_c, k, q in rows:
-                fh.write(f"{n_c}\t{k}\t{_fmt(q)}\n")
+            fh.write("".join(rows))
     return 0
 
 

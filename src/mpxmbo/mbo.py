@@ -85,6 +85,13 @@ class DetectConfig:
         if not (self.tol > 0 and self.eig_tol > 0):
             raise ValueError("tolerances must be positive")
 
+    def check(self, net):
+        """Raise ValueError unless n_c and k fit the network's nL pairs."""
+        if self.n_c > net.nL:
+            raise ValueError("n_c cannot exceed the number of node-layer pairs")
+        if not 1 <= self.k < net.nL:
+            raise ValueError(f"need 1 <= k < nL, got k={self.k}, nL={net.nL}")
+
 
 @dataclass(frozen=True)
 class RunResult:
@@ -193,10 +200,7 @@ def detect(net, deg, config, basis=None, threads=1):
         run index); ``runs`` holds all runs in index order.
     """
     gamma = gamma_vector(config.gamma, net.L)
-    if config.n_c > net.nL:
-        raise ValueError("n_c cannot exceed the number of node-layer pairs")
-    if not 1 <= config.k < net.nL:
-        raise ValueError(f"need 1 <= k < nL, got k={config.k}, nL={net.nL}")
+    config.check(net)
     offline = 0.0
     if basis is None:
         t0 = time.perf_counter()

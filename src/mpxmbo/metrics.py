@@ -65,6 +65,12 @@ def multiplex_modularity(partition, net, deg, gamma):
     Returns
     -------
     float
+
+    Raises
+    ------
+    ValueError
+        If the value is not finite: weights whose squared community
+        volumes overflow float64 give -inf or nan.
     """
     gamma = gamma_vector(gamma, net.L)
     if deg.total_strength <= 0:
@@ -83,7 +89,10 @@ def multiplex_modularity(partition, net, deg, gamma):
                 if k != l and net.coupling[k, l] != 0.0:
                     agree = int(np.count_nonzero(lab[k] == lab[l]))
                     num += net.omega * net.coupling[k, l] * agree
-    return num / deg.total_strength
+    q = num / deg.total_strength
+    if not np.isfinite(q):
+        raise ValueError(f"modularity is not finite ({q}): the weights overflow float64")
+    return q
 
 
 def multiplex_modularity_sumform(partition, net, deg, gamma):

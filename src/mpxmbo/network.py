@@ -591,6 +591,7 @@ def load_partition(path, net):
         ((node < 1) | (node > n) | (layer < 1) | (layer > L),
          lambda i: "node or layer id out of range"),
         (com < 1, lambda i: f"community label {com[i]} must be >= 1"),
+        (com > n * L, lambda i: f"community label {com[i]} out of range 1..{n * L}"),
         (com != com[_first_of(idx)],
          lambda i: "conflicting labels for " + _PAIR.format(node[i], layer[i])),
     ])  # fmt: skip

@@ -292,6 +292,55 @@ def test_basis_cache_keyed_on_edges(capsys, tmp_path):
     assert (tmp_path / "b_cached.tsv").read_bytes() == (tmp_path / "b_fresh.tsv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "flag, first, second",
+    [
+        ("--omega", "1", "1.0000000000001"),
+        ("--gamma", "0.6", "0.6000000000001"),
+        ("--eig-tol", "1e-8", "1.0000000000001e-8"),
+    ],
+)
+def test_basis_cache_keyed_on_exact_parameters(capsys, tmp_path, flag, first, second):
+    # the two values agree to 12 significant digits, so a key built from
+    # "%.12g" text would reuse the first basis for the second problem
+    cache = tmp_path / "basis.npz"
+    base = [
+        "detect", "--input", FLORENTINE, "--method", "mpbtv", "--nc", "3", "--k", "5",
+        "--runs", "4", "--seed", "1",
+    ]
+    rc, _, _ = run_cli(
+        capsys, *base, flag, first, "--basis-cache", str(cache), "--out", str(tmp_path / "a.tsv")
+    )
+    assert rc == 0 and cache.exists()
+    rc, out, err = run_cli(
+        capsys, *base, flag, second, "--basis-cache", str(cache), "--out", str(tmp_path / "b.tsv")
+    )
+    assert rc == 0
+    assert "recomputing" in err
+    assert get_field(out, "offline seconds") != "0"
+    rc, _, _ = run_cli(capsys, *base, flag, second, "--out", str(tmp_path / "cold.tsv"))
+    assert rc == 0
+    assert (tmp_path / "b.tsv").read_bytes() == (tmp_path / "cold.tsv").read_bytes()
+
+
+@pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning",
+    "ignore:invalid value encountered:RuntimeWarning",
+)
+@pytest.mark.parametrize("weight, value", [("1e308", "nan"), ("1e200", "-inf")])
+@pytest.mark.parametrize("command", ["eval", "oracle"])
+def test_non_finite_modularity_is_an_error(capsys, tmp_path, command, weight, value):
+    # the degrees (1e308) or the squared community volumes (1e200) overflow
+    net = tmp_path / "big.mpx"
+    net.write_text(f"#multiplex n=3 L=1\n1\t1\t2\t{weight}\n1\t2\t3\t{weight}\n")
+    part = tmp_path / "p.tsv"
+    part.write_text("1\t1\t1\n2\t1\t1\n3\t1\t2\n")
+    flags = ["--partition", str(part)] if command == "eval" else ["--nc", "2"]
+    rc, out, err = run_cli(capsys, command, "--input", str(net), *flags)
+    assert (rc, out) == (1, "")
+    assert err == f"error: modularity is not finite ({value}): the weights overflow float64\n"
+
+
 def test_oracle_two_triangles(capsys, tmp_path):
     out_file = tmp_path / "opt.tsv"
     rc, out, _ = run_cli(

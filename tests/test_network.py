@@ -362,6 +362,11 @@ FORMAT_ERRORS = [
     ("partition", "1\t1\t1\n1\t1\t2\n4\t1\t1\n", 2, "conflicting labels for pair (1,1)"),
     ("partition", "1\t1\t1\n4\t1\t1\n1\t1\t2\n", 2, "node or layer id out of range"),
     ("partition", "1\t1\t2\n1\t1\t2\n# c\n2\t1\t0\n", 4, "community label 0 must be >= 1"),
+    # labels above nL = 6, the largest any partition written can hold
+    ("partition", "1\t1\t7\n", 1, "community label 7 out of range 1..6"),
+    ("partition", "1\t1\t99999999999999999999\n", 1,
+     "community label 99999999999999999999 out of range 1..6"),  # fmt: skip
+    ("partition", "1\t1\t6\n1\t1\t6\n4\t1\t1\n2\t1\t7\n", 3, "node or layer id out of range"),
 ]
 
 

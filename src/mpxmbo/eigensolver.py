@@ -20,10 +20,11 @@ check errs strict); it is never inferred from the projected problem
 alone.  A single Krylov sequence cannot split a repeated eigenvalue, so
 certified residuals can still hide a missed copy.  At exit the found
 pairs are therefore moved down to theta_k - scale (Hotelling deflation)
-and one Lanczos run finds the top eigenvalue of the deflated operator.
-If it lies above theta_k, a copy was missed: the thick restart resumes
-from the found pairs plus that direction.  After k such rounds the
-solver raises `ConvergenceError`.
+and one Lanczos run decides whether the deflated operator's top lies above
+``thr = theta_k + max(10 tol, 1e-10) * scale``, stopping once a Ritz value
+exceeds thr (a lower bound on the top) or the top one converged below it.
+Above thr a copy was missed: the thick restart resumes from the found
+pairs plus that direction.  After k such rounds it raises `ConvergenceError`.
 """
 
 from __future__ import annotations
@@ -135,18 +136,20 @@ def _dense_eigenpairs(op, k, tol, scale_floor):
     return SpectralBasis(theta, ritz, resid, op.label)
 
 
-def _thick_restart(op, k, tol, scale_floor, rng, start, locked=None):
+def _thick_restart(op, k, tol, scale_floor, rng, start, locked=None, above=None):
     """Thick-restart Lanczos for the k largest eigenpairs of op.
 
     The Krylov basis starts from the direction ``start``; given
     ``locked = (theta, x)``, it starts from the Ritz pairs (theta, x)
     followed by ``start``, which must be orthogonal to x.  Returns the
     top-k Ritz values and vectors, their true residual norms and the
-    residual scale once every residual is within tol * scale.
+    residual scale once every residual is within tol * scale.  Given
+    ``above``, it also returns, uncertified and with residuals None, as
+    soon as the top Ritz value is above it or has converged below it.
     """
     dim = op.dim
     m = min(dim, k + max(k, 15))
-    V = np.zeros((dim, m + 1))
+    V = np.zeros((dim, m + 1), order="F")  # contiguous Gram-Schmidt slices and operands
     H = np.zeros((m, m))
     keep = 0
     if locked is not None:
@@ -189,6 +192,8 @@ def _thick_restart(op, k, tol, scale_floor, rng, start, locked=None):
         # A V = V H + beta V[:, m] e_m^T: each Ritz residual is the estimate
         # beta * |s[m-1, i]| times V[:, m].  Certify once the estimates pass.
         est = beta * np.abs(s[ncols - 1, :k])
+        if above is not None and (theta[0] > above or est[0] <= (above - theta[0]) / 2):
+            return theta[:k].copy(), V[:, :ncols] @ s[:, :k], None, scale
         if exhausted or np.all(est <= tol * scale) or restart == _MAX_RESTARTS - 1:
             ritz = V[:, :ncols] @ s[:, :k]
             resid = np.linalg.norm(op.apply(ritz) - ritz * theta[:k], axis=0)
@@ -264,10 +269,12 @@ def largest_eigenpairs(op, k, tol=1e-8, rng_seed=0, scale_floor=0.0, dense_cutof
         # one Krylov sequence cannot split a repeated eigenvalue; with the
         # found pairs moved below theta_k, a missed copy is the top of the
         # deflated operator (a tie with theta_k at the cut is accepted)
+        thr = theta[-1] + max(10.0 * tol, 1e-10) * scale
         mu, y, _, _ = _thick_restart(
-            _hotelling(op, theta, ritz, scale), 1, tol, scale, rng, rng.standard_normal(dim)
+            _hotelling(op, theta, ritz, scale), 1, tol, scale, rng, rng.standard_normal(dim),
+            above=thr,
         )
-        if mu[0] <= theta[-1] + max(10.0 * tol, 1e-10) * scale:
+        if mu[0] <= thr:
             return SpectralBasis(theta, ritz, resid, op.label)
         y = y[:, 0] - ritz @ (ritz.T @ y[:, 0])
         theta, ritz, resid, scale = _thick_restart(
@@ -303,6 +310,9 @@ def basis_for_method(method, net, deg, gamma, k, tol=1e-8, rng_seed=0):
     gamma = gamma_vector(gamma, net.L)
     if not tol > 0:  # also NaN: it would use up every restart, then fail
         raise ValueError("tolerances must be positive")
+    top = float(deg.supra_degrees.max())
+    if not math.isfinite(top * top):  # the solver's norms square values this large
+        raise ValueError(f"the weights overflow float64: degree {top:g} squared is not finite")
     if method == "mpbtv":
         op, sigma = shifted_neg_lk_op(net, deg, gamma)
         raw = largest_eigenpairs(op, k, tol=tol, rng_seed=rng_seed, scale_floor=sigma)

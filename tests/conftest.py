@@ -120,6 +120,25 @@ def connected_network(rng, n, L, omega=1.0):
     return MultiplexNetwork.from_dense_layers(layers, coupling=None, omega=omega)
 
 
+def planted_network(rng, n, L, groups, mean_degree=8, mix=0.2, omega=1.0):
+    """Sparse planted partition: node i is in group i % groups in every
+    layer (n a multiple of groups), and an edge stays inside its group
+    with probability 1 - mix."""
+    layers = []
+    for _ in range(L):
+        u = rng.integers(0, n, size=n * mean_degree // 2)
+        v = rng.integers(0, n, size=u.size)
+        inside = rng.random(u.size) >= mix
+        v[inside] += u[inside] % groups - v[inside] % groups
+        v %= n
+        a = np.zeros((n, n))
+        a[u, v] = 1.0
+        a = np.maximum(a, a.T)
+        np.fill_diagonal(a, 0.0)
+        layers.append(a)
+    return MultiplexNetwork.from_dense_layers(layers, coupling=None, omega=omega)
+
+
 def isolate_node(net, node):
     """Copy of net with one physical node stripped of all intra edges."""
     layers = []

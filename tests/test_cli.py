@@ -1,11 +1,18 @@
 """End-to-end command-line behavior, run in process."""
 
+import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mpxmbo import cli, load_network
+from mpxmbo import cli, load_network, save_network
+
+from conftest import planted_network
 
 FLORENTINE = "data/florentine.mpx"
 TRIANGLES = "data/two_triangles.mpx"
@@ -323,6 +330,13 @@ def test_basis_cache_keyed_on_exact_parameters(capsys, tmp_path, flag, first, se
     assert (tmp_path / "b.tsv").read_bytes() == (tmp_path / "cold.tsv").read_bytes()
 
 
+def overflow_network(tmp_path, weight):
+    """Three nodes on a path whose two edges weigh ``weight``."""
+    net = tmp_path / "big.mpx"
+    net.write_text(f"#multiplex n=3 L=1\n1\t1\t2\t{weight}\n1\t2\t3\t{weight}\n")
+    return net
+
+
 @pytest.mark.filterwarnings(
     "ignore:overflow encountered:RuntimeWarning",
     "ignore:invalid value encountered:RuntimeWarning",
@@ -331,14 +345,70 @@ def test_basis_cache_keyed_on_exact_parameters(capsys, tmp_path, flag, first, se
 @pytest.mark.parametrize("command", ["eval", "oracle"])
 def test_non_finite_modularity_is_an_error(capsys, tmp_path, command, weight, value):
     # the degrees (1e308) or the squared community volumes (1e200) overflow
-    net = tmp_path / "big.mpx"
-    net.write_text(f"#multiplex n=3 L=1\n1\t1\t2\t{weight}\n1\t2\t3\t{weight}\n")
+    net = overflow_network(tmp_path, weight)
     part = tmp_path / "p.tsv"
     part.write_text("1\t1\t1\n2\t1\t1\n3\t1\t2\n")
     flags = ["--partition", str(part)] if command == "eval" else ["--nc", "2"]
     rc, out, err = run_cli(capsys, command, "--input", str(net), *flags)
     assert (rc, out) == (1, "")
     assert err == f"error: modularity is not finite ({value}): the weights overflow float64\n"
+
+
+@pytest.mark.parametrize("weight, degree", [("1e308", "inf"), ("1e200", "2e+200")])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["detect", "--method", "dgfm3", "--nc", "2", "--k", "2"],
+        ["detect", "--method", "mpbtv", "--nc", "2", "--k", "2"],
+        ["spectrum", "--operator", "lk", "--k", "2"],
+        ["grid", "--method", "dgfm3", "--nc-range", "2:2", "--k-range", "2:2"],
+    ],
+)
+def test_overflowing_weights_rejected_before_solving(capsys, tmp_path, command, weight, degree):
+    # the eigensolver's norms would square the degree (inf or 4e400) and end
+    # in a residual or convergence failure that does not name the cause
+    net = overflow_network(tmp_path, weight)
+    if command[0] == "detect":
+        command = [*command, "--out", str(tmp_path / "p.tsv")]
+    rc, out, err = run_cli(capsys, *command, "--input", str(net))
+    assert (rc, out) == (1, "")
+    assert err == f"error: the weights overflow float64: degree {degree} squared is not finite\n"
+
+
+def test_partitions_stable_across_blas_threads(tmp_path):
+    # the determinism contract: BLAS threads may move basis bits by rounding,
+    # but partitions stay byte-identical; one process per thread setting
+    # runs every case, on the dense path (data/) and the iterative one
+    planted = tmp_path / "planted.mpx"
+    save_network(planted_network(np.random.default_rng(3), 400, 2, 4), planted)
+    cases = [
+        (FLORENTINE, "3", "4"),
+        (TRIANGLES, "2", "2"),
+        (str(planted), "4", "6"),
+    ]
+    blobs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        argvs = [
+            ["detect", "--input", path, "--method", method, "--nc", nc, "--k", k,
+             "--runs", "6", "--seed", "2", "--out", str(out / f"{method}-{i}.tsv")]
+            for i, (path, nc, k) in enumerate(cases)
+            for method in ("mpbtv", "dgfm3")
+        ]  # fmt: skip
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import json, sys\nfrom mpxmbo import cli\nfor a in json.loads(sys.argv[1]):\n"
+        code += "    assert cli.main(a) == 0, a\n"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(argvs)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        blobs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert len(blobs["1"]) == 6
+    assert blobs["1"] == blobs["2"]
 
 
 def test_oracle_two_triangles(capsys, tmp_path):

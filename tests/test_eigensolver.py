@@ -16,11 +16,13 @@ from mpxmbo import (
     save_basis,
     shifted_neg_lk_op,
 )
+from mpxmbo import eigensolver
 
 from conftest import (
     dense_balance,
     dense_laplacian,
     dense_modularity,
+    planted_network,
     random_gamma,
     random_network,
 )
@@ -109,6 +111,31 @@ def test_identical_layers_mpbtv_all_copies_found(seed):
     lk = dense_laplacian(net) + dense_balance(net, np.array([1.0, 1.0]))
     ref = -np.linalg.eigvalsh(lk)[:6]
     assert np.abs(basis.eigenvalues - ref).max() <= 1e-6
+
+
+def test_deflation_check_stops_at_its_answer(monkeypatch):
+    # a planted spectrum without repeated eigenvalues: the exit check only
+    # has to see that the deflated operator's top lies below theta_k, which
+    # one Krylov fill (m = 16 matvecs at k = 1) settles
+    net = planted_network(np.random.default_rng(5), 500, 2, 4)
+    op = modularity_op(net, compute_degrees(net), np.array([1.0, 1.0]))
+    check_matvecs = []
+    hotelling = eigensolver._hotelling
+
+    def counting_hotelling(op, theta, x, scale):
+        deflated = hotelling(op, theta, x, scale)
+
+        def mv(v):
+            check_matvecs.append(v.size)
+            return deflated.apply(v)
+
+        return LinearOperator(deflated.dim, mv, deflated.label)
+
+    monkeypatch.setattr(eigensolver, "_hotelling", counting_hotelling)
+    basis = largest_eigenpairs(op, 6, tol=1e-8, dense_cutoff=0, rng_seed=1)
+    check_against_dense(op, basis, 6, 1e-8)
+    assert set(check_matvecs) == {op.dim}  # one vector per call
+    assert 0 < len(check_matvecs) <= 16
 
 
 def test_mpbtv_basis_unshifted_and_negative(florentine):

@@ -26,9 +26,11 @@ def csr_matvec(rows, cols, data, x, n):
 # per-label edge sums (stored entries with equal / different endpoint labels)
 
 
-def label_edge_sums(rows, cols, data, labels):
-    same = labels[rows] == labels[cols]
-    return float(data[same].sum()), float(data[~same].sum())
+def label_edge_sums(rows, cols, data, labels, cross=False):
+    """Sum of the stored entries whose endpoint labels are equal, or with
+    ``cross=True`` differ."""
+    pick = np.not_equal if cross else np.equal
+    return float(data[pick(labels[rows], labels[cols])].sum())
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,14 @@ max_iter sweeps.  `detect` repeats this from independent random initial
 assignments and keeps the partition with the largest multiplex
 modularity.
 
+A run holds one 0-based label array and one indicator buffer U, filled
+once from the initial partition.  Each sweep is `diffusion_step` (two
+thin products, with the finiteness check on the k x n_c coefficients),
+a row argmax of the diffused U, and an update of U that clears the old
+ones and sets the new ones of the rows whose label changed.  The run's
+`Partition` is built once, at its end; `threshold` remains for library
+users and gives the same labels.
+
 Every run draws its initial assignment from a counter-based generator
 keyed by seed XOR run_index, so results are reproducible and independent
 of execution order; running with a thread pool changes timings only.
@@ -135,6 +143,12 @@ def diffusion_step(basis, dt, u):
         raise ValueError("indicator matrix does not match basis dimension")
     w = basis.eigenvectors.T @ u
     w = np.exp(dt * basis.eigenvalues)[:, None] * w
+    # For the one-hot U and eigenvalues shifted to <= 0 that mbo_run passes,
+    # checking the k x n_c W covers the nL x n_c product: every entry of Phi
+    # reaches W through its row's one, and with orthonormal columns
+    # (|Phi| <= 1) |W| <= nL, so a finite W gives |Phi W| <= k nL.
+    if not np.all(np.isfinite(w)):
+        raise ValueError("non-finite values in diffused indicator")
     return basis.eigenvectors @ w
 
 
@@ -158,20 +172,20 @@ def mbo_run(basis, config, init, net, deg, run_index=0):
     top = max(float(basis.eigenvalues[0]), 0.0)
     basis = replace(basis, eigenvalues=basis.eigenvalues - top)
     u = init.one_hot()
-    prev = init.assignment
-    part = init
+    labels = init.assignment - 1
     iterations = 0
     converged = False
     for _ in range(config.max_iter):
-        v = diffusion_step(basis, config.dt, u)
-        part = threshold(v)
+        new = np.argmax(diffusion_step(basis, config.dt, u), axis=1)
         iterations += 1
-        changed = int(np.count_nonzero(part.assignment != prev))
-        if math.sqrt(2.0 * changed) < config.tol:
+        moved = np.flatnonzero(new != labels)
+        u[moved, labels[moved]] = 0.0
+        u[moved, new[moved]] = 1.0
+        labels = new
+        if math.sqrt(2.0 * moved.size) < config.tol:
             converged = True
             break
-        prev = part.assignment
-        u = part.one_hot()
+    part = Partition(labels + 1, init.n_c)
     q = metrics.multiplex_modularity(part, net, deg, config.gamma)
     return RunResult(part, q, iterations, converged, run_index)
 

@@ -78,8 +78,7 @@ def multiplex_modularity(partition, net, deg, gamma):
     lab = _layer_labels(partition, net)
     num = 0.0
     for l, a in enumerate(net.intra):
-        same, _ = _kernels.label_edge_sums(a.rows, a.cols, a.data, lab[l])
-        num += same
+        num += _kernels.label_edge_sums(a.rows, a.cols, a.data, lab[l])
         if deg.layer_strengths[l] > 0:
             vol = _community_volumes(lab[l], deg.intra_degrees[l], partition.n_c)
             num -= gamma[l] * _volume_penalty(vol) / deg.layer_strengths[l]
@@ -139,8 +138,7 @@ def balanced_tv_objective(partition, net, deg, gamma):
     lab = _layer_labels(partition, net)
     tv = 0.0
     for l, a in enumerate(net.intra):
-        _, cross = _kernels.label_edge_sums(a.rows, a.cols, a.data, lab[l])
-        tv += cross
+        tv += _kernels.label_edge_sums(a.rows, a.cols, a.data, lab[l], cross=True)
     if net.omega != 0.0 and net.L > 1:
         for k in range(net.L):
             for l in range(net.L):

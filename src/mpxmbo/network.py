@@ -104,9 +104,14 @@ class SparseSym:
                 raise ValueError("non-finite weight")
             if data.min() < 0:
                 raise ValueError("negative weight")
-        # lexsort is stable: duplicates keep input order, so the (i, j) and
-        # (j, i) duplicate groups sum in the same order -> exact symmetry.
-        order = np.lexsort((cols, rows))
+        # Both sorts are stable: duplicates keep input order, so the (i, j)
+        # and (j, i) duplicate groups sum in the same order -> exact symmetry.
+        # rows * n + cols orders as (rows, cols) and fits int64 while
+        # n <= floor(sqrt(2**63)); it sorts in one pass, lexsort in two.
+        if n <= 3037000499:
+            order = np.argsort(rows * n + cols, kind="stable")
+        else:
+            order = np.lexsort((cols, rows))
         rows, cols, data = rows[order], cols[order], data[order]
         if rows.size:
             first = np.ones(rows.size, dtype=bool)

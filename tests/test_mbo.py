@@ -1,5 +1,8 @@
 """Threshold dynamics: diffusion, thresholding, runs, restarts."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -23,7 +26,12 @@ from mpxmbo import (
 )
 from mpxmbo.mbo import run_rng
 
-from conftest import connected_network, florentine_best_assignment, random_network
+from conftest import (
+    connected_network,
+    florentine_best_assignment,
+    planted_network,
+    random_network,
+)
 
 
 def full_basis(op, shift=0.0):
@@ -214,6 +222,70 @@ def test_two_triangles_separating_inits_reach_half(two_triangles):
         res = mbo_run(basis, config, Partition(lab, 2), net, deg)
         assert res.converged
         assert res.modularity == pytest.approx(0.5, abs=1e-14)
+
+
+def reference_run(basis, config, init, net, deg):
+    """The runs loop spelled out with the public steps: a fresh one-hot
+    indicator from a Partition, and a thresholded Partition, every sweep."""
+    top = max(float(basis.eigenvalues[0]), 0.0)
+    basis = replace(basis, eigenvalues=basis.eigenvalues - top)
+    part, iterations, converged = init, 0, False
+    for _ in range(config.max_iter):
+        new = threshold(diffusion_step(basis, config.dt, part.one_hot()))
+        iterations += 1
+        moved = int(np.count_nonzero(new.assignment != part.assignment))
+        part = new
+        if math.sqrt(2.0 * moved) < config.tol:
+            converged = True
+            break
+    return part, iterations, converged, multiplex_modularity(part, net, deg, config.gamma)
+
+
+@pytest.fixture(scope="module")
+def planted():
+    net = planted_network(np.random.default_rng(31), 200, 4, 4)
+    return net, compute_degrees(net)
+
+
+@pytest.mark.parametrize("method", ["mpbtv", "dgfm3"])
+@pytest.mark.parametrize(
+    "case,gamma,n_c,k",
+    [("florentine", 0.6, 3, 6), ("two_triangles", 1.0, 2, 3), ("planted", 1.0, 4, 12)],
+)
+def test_mbo_run_equals_public_steps(request, case, gamma, n_c, k, method):
+    net, deg = request.getfixturevalue(case)
+    basis = basis_for_method(method, net, deg, gamma, k, rng_seed=2)
+    budget_stops = 0
+    # no sweep, a budget of two, the default, and a tolerance that accepts
+    # a sweep which still moves up to three labels
+    for extra in ({"max_iter": 0}, {"max_iter": 2}, {}, {"tol": 2.5}):
+        config = DetectConfig(method=method, n_c=n_c, k=k, gamma=gamma, **extra)
+        for i in range(4):
+            init = random_onehot_init(net.nL, n_c, run_rng(7, i))
+            res = mbo_run(basis, config, init, net, deg, run_index=i)
+            part, iterations, converged, q = reference_run(basis, config, init, net, deg)
+            assert res.partition.assignment.dtype == part.assignment.dtype
+            assert res.partition.assignment.tobytes() == part.assignment.tobytes()
+            assert res.partition.n_c == part.n_c
+            assert (res.iterations, res.converged) == (iterations, converged)
+            assert res.modularity == q
+            budget_stops += iterations == config.max_iter > 0 and not converged
+    if case == "planted":
+        assert budget_stops > 0
+
+
+def test_nonfinite_eigenvector_is_rejected(florentine):
+    net, deg = florentine
+    config = DetectConfig(method="dgfm3", n_c=3, k=7, gamma=0.6)
+    basis = basis_for_method("dgfm3", net, deg, 0.6, 7)
+    vecs = basis.eigenvectors.copy()
+    vecs[5, 2] = np.nan
+    bad = replace(basis, eigenvectors=vecs)
+    init = random_onehot_init(net.nL, 3, run_rng(1, 0))
+    with pytest.raises(ValueError, match="non-finite values in diffused indicator"):
+        mbo_run(bad, config, init, net, deg)
+    with pytest.raises(ValueError, match="non-finite values in diffused indicator"):
+        detect(net, deg, config, basis=bad)
 
 
 def test_detect_single_run_equals_mbo_run(florentine):

@@ -379,7 +379,8 @@ def test_label_edge_sums_match_dense_mask(florentine):
         lab = rng.integers(1, 4, size=a.n)
         dense = a.toarray()
         mask = np.equal.outer(lab, lab)
-        same, cross = _kernels.label_edge_sums(a.rows, a.cols, a.data, lab)
+        same = _kernels.label_edge_sums(a.rows, a.cols, a.data, lab)
+        cross = _kernels.label_edge_sums(a.rows, a.cols, a.data, lab, cross=True)
         assert same == pytest.approx(dense[mask].sum(), abs=1e-12)
         assert cross == pytest.approx(dense[~mask].sum(), abs=1e-12)
 

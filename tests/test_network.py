@@ -460,6 +460,21 @@ def test_loaded_weights_bit_identical_to_from_coo(tmp_path):
         assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
 
 
+@pytest.mark.parametrize("n", [3037000499, 3037000500])
+def test_from_coo_sort_exact_at_any_n(n):
+    # from_coo sorts by the key rows * n + cols while it fits int64, up to
+    # n = 3037000499 = floor(sqrt(2**63)), and with lexsort above; either
+    # must give the bits of the same entries relabelled onto a small n
+    rng = np.random.default_rng(23)
+    ids = np.array([0, 1, 2, n - 2, n - 1])
+    rows, cols = rng.integers(0, ids.size, (2, 400))  # duplicates, self-loops
+    data = rng.lognormal(0.0, 4.0, 400)
+    want = SparseSym.from_coo(ids.size, rows, cols, data)
+    got = SparseSym.from_coo(n, ids[rows], ids[cols], data)
+    assert np.array_equal(got.rows, ids[want.rows]) and np.array_equal(got.cols, ids[want.cols])
+    assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
+
+
 @pytest.mark.parametrize("token", ["1.0", "1e3", "0x10", "2#x", "1_0", "٣"])
 def test_loadtxt_refuses_int_tokens_it_would_not_read_as_int_does(token):
     # the bulk reader gives int columns to np.loadtxt and reads a file in

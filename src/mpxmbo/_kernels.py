@@ -41,6 +41,21 @@ def label_edge_sums(rows, cols, data, labels, cross=False):
 # visits every partition into at most n_c non-empty groups exactly once,
 # eliminating label permutations.  The score of an assignment is
 # sum_{i,j same label} S[i, j] (both orders, diagonal included).
+#
+# Each string is a prefix x of length a followed by a suffix y of length
+# b = m - a, where b is the longest with n_c**b <= chunk and a >= 1.
+# Prefixes are grown depth first, each new position adding its share of
+# the score.  The n_c**b suffixes are tabulated once, in lexicographic
+# order, with their internal score and the smallest prefix maximum label
+# that keeps x y a restricted growth string.  A block of prefixes is then
+# scored against the whole table:
+#     score(x y) = score(x) + internal(y) + 2 sum_q G[x, y_q, q],
+#     G[x, c, q] = sum_{i : x_i = c} S[i, a + q],
+# and the pairs that are not restricted growth strings get -inf.  Every
+# sum is a fixed sequence of elementwise adds (no BLAS), so the score of a
+# string depends neither on the block it is scored in nor on the number
+# of threads, and the first maximum of a block in row-major order is its
+# lexicographically first.
 
 
 def _extend(labels, maxl, score, S, n_c):
@@ -59,7 +74,66 @@ def _extend(labels, maxl, score, S, n_c):
     return np.concatenate([labels, new[:, None]], axis=1), np.maximum(maxl[rep], new), score
 
 
-def _best_extension(labels, maxl, score, S, n_c, chunk):
+def _suffix_table(S, n_c, a):
+    """Every suffix of positions a.. in lexicographic order: (labels,
+    internal score, smallest prefix maximum label that admits it, and per
+    position q the column of G[:, y_q, q] in G flattened to (rows, n_c * b))."""
+    b = S.shape[0] - a
+    y = np.arange(n_c**b)[:, None] // n_c ** np.arange(b - 1, -1, -1) % n_c
+    internal = np.zeros(len(y))
+    need = np.zeros(len(y), dtype=np.int64)
+    top = np.full(len(y), -1)
+    for q in range(b):
+        p = a + q
+        same = np.zeros(len(y))
+        for r in range(q):
+            same += np.where(y[:, r] == y[:, q], S[a + r, p], 0.0)
+        internal += S[p, p] + 2.0 * same
+        # a label more than one above the suffix's own maximum so far must
+        # be covered by the prefix: max(x) >= y_q - 1
+        need = np.maximum(need, np.where(y[:, q] > top + 1, y[:, q] - 1, 0))
+        top = np.maximum(top, y[:, q])
+    return y, internal, need, np.ascontiguousarray((y * b + np.arange(b)).T)
+
+
+def _best_completion(labels, maxl, score, S, n_c, chunk, table):
+    """First maximum, in lexicographic order, over each prefix followed by
+    each suffix it admits: (value, prefix, suffix index).
+
+    The prefixes are scored in blocks of about 16 * chunk strings.
+    """
+    y, internal, need, cols = table
+    n, a = labels.shape
+    b = y.shape[1]
+    rows = max(1, 16 * chunk // len(y))
+    cross = np.empty((min(rows, n), len(y)))
+    total = np.empty_like(cross)
+    best = None
+    for start in range(0, n, rows):
+        x = labels[start : start + rows]
+        r = len(x)
+        g = np.zeros((r, n_c, b))
+        at = np.arange(r)
+        for i in range(a):
+            g[at, x[:, i]] += S[i, a:]
+        g = g.reshape(r, n_c * b)
+        c, t = cross[:r], total[:r]
+        c.fill(0.0)
+        for q in range(b):
+            # the columns are in range; mode="clip" avoids a buffered copy
+            np.take(g, cols[q], axis=1, out=t, mode="clip")
+            c += t
+        np.add(score[start : start + r, None], internal, out=t)
+        c *= 2.0
+        t += c
+        t[need > maxl[start : start + r, None]] = -np.inf
+        k = int(np.argmax(t))
+        if best is None or t.flat[k] > best[0]:
+            best = (float(t.flat[k]), x[k // len(y)], k % len(y))
+    return best
+
+
+def _best_extension(labels, maxl, score, S, n_c, chunk, table):
     """First maximum, in lexicographic order, over the full-length strings
     that extend the given prefixes.
 
@@ -67,15 +141,14 @@ def _best_extension(labels, maxl, score, S, n_c, chunk):
     level holds at most chunk rows, so memory is bounded by m * chunk
     labels whatever the number of strings.
     """
-    if labels.shape[1] == S.shape[0]:
-        i = int(np.argmax(score))
-        return float(score[i]), labels[i]
+    if labels.shape[1] + table[0].shape[1] == S.shape[0]:
+        return _best_completion(labels, maxl, score, S, n_c, chunk, table)
     labels, maxl, score = _extend(labels, maxl, score, S, n_c)
     best = None
     step = max(1, chunk // n_c)
     for start in range(0, labels.shape[0], step):
         part = slice(start, start + step)
-        cand = _best_extension(labels[part], maxl[part], score[part], S, n_c, chunk)
+        cand = _best_extension(labels[part], maxl[part], score[part], S, n_c, chunk, table)
         if best is None or cand[0] > best[0]:
             best = cand
     return best
@@ -86,8 +159,16 @@ def enumerate_partitions(S, n_c, chunk=4096):
 
     ``S`` must be symmetric.  Returns (value, labels) with 0-based labels;
     among equal maxima the lexicographically first restricted growth
-    string wins.
+    string wins.  ``chunk`` bounds the rows of each enumeration level and
+    the size of the suffix table.
     """
+    m = S.shape[0]
+    b = 0
+    while b < m - 1 and n_c ** (b + 1) <= chunk:
+        b += 1
+    table = _suffix_table(S, n_c, m - b)
     root = np.zeros((1, 1), dtype=np.int64)
-    value, labels = _best_extension(root, root[0], np.array([S[0, 0]], dtype=float), S, n_c, chunk)
-    return value, labels.copy()
+    value, prefix, j = _best_extension(
+        root, root[0], np.array([S[0, 0]], dtype=float), S, n_c, chunk, table
+    )
+    return value, np.concatenate([prefix, table[0][j]])

@@ -126,6 +126,9 @@ def build_parser():
 
 
 def _load(args):
+    # detect and grid pass --threads to mbo.detect; reject it before any work
+    if getattr(args, "threads", 1) < 1:
+        raise ValueError("threads must be >= 1")
     net = load_network(args.input, args.coupling, args.omega)
     gamma = gamma_vector(args.gamma, net.L)
     return net, compute_degrees(net), gamma

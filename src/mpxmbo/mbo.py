@@ -204,8 +204,8 @@ def detect(net, deg, config, basis=None, threads=1):
         When omitted, the basis is computed here and the time reported as
         ``offline_seconds``.
     threads : int
-        Worker threads for the runs.  Results are identical for any
-        value; only timings change.
+        Worker threads for the runs, at least 1.  Results are identical
+        for any value; only timings change.
 
     Returns
     -------
@@ -213,6 +213,8 @@ def detect(net, deg, config, basis=None, threads=1):
         ``best`` is the run with the largest modularity (ties: smallest
         run index); ``runs`` holds all runs in index order.
     """
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     gamma = gamma_vector(config.gamma, net.L)
     config.check(net)
     offline = 0.0
@@ -242,7 +244,7 @@ def detect(net, deg, config, basis=None, threads=1):
         return mbo_run(basis, config, init, net, deg, run_index=i)
 
     t1 = time.perf_counter()
-    if threads and threads > 1:
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(one_run, range(config.n_runs)))
     else:

@@ -261,11 +261,14 @@ def _dense_modularity_matrix(net, deg, gamma):
 def oracle_max_modularity(net, deg, gamma, n_c, limit=10_000_000):
     """Global maximum of multiplex modularity over partitions into <= n_c groups.
 
-    Enumerates canonical label assignments exhaustively (label
-    permutations are visited once), so the cost is bounded by n_c**(nL-1)
-    score evaluations; instances with n_c**nL beyond ``limit`` are
-    rejected.  The returned modularity is recomputed from the winning
-    partition with `multiplex_modularity`.
+    Scores every canonical label assignment (label permutations are
+    visited once), with no bounding or pruning: prefixes are grown depth
+    first, and each block of them is scored against one table of all
+    n_c**b suffixes, b < nL the longest with n_c**b <= 4096
+    (``_kernels.enumerate_partitions``).  Memory does not grow with nL.
+    Instances with n_c**nL beyond ``limit`` are rejected.  The returned
+    modularity is recomputed from the winning partition with
+    `multiplex_modularity`.
 
     Returns
     -------

@@ -498,6 +498,24 @@ def test_grid_bad_range(capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+@pytest.mark.parametrize("command", ["detect", "grid"])
+def test_bad_thread_count_rejected(capsys, tmp_path, command, threads):
+    out = tmp_path / "out.tsv"
+    if command == "detect":
+        shape = ["--nc", "2", "--k", "3"]
+    else:
+        shape = ["--nc-range", "2:2", "--k-range", "3:3"]
+    rc, stdout, err = run_cli(
+        capsys,
+        command, "--input", TRIANGLES, "--method", "dgfm3", *shape,
+        "--threads", threads, "--out", str(out),
+    )
+    assert rc == 1
+    assert err == "error: threads must be >= 1\n"
+    assert stdout == "" and not out.exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["--version"])

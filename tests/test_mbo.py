@@ -320,6 +320,14 @@ def test_detect_threads_do_not_change_results(florentine):
         assert a.modularity == b.modularity
 
 
+def test_detect_rejects_bad_thread_count(two_triangles):
+    net, deg = two_triangles
+    config = DetectConfig(method="dgfm3", n_c=2, k=2, n_runs=2)
+    for threads in (0, -2):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            detect(net, deg, config, threads=threads)
+
+
 def test_detect_reuses_and_truncates_basis(florentine):
     net, deg = florentine
     config = DetectConfig(method="dgfm3", n_c=3, k=5, gamma=0.6, n_runs=4, seed=1)

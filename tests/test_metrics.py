@@ -371,6 +371,59 @@ def test_enumerate_partitions_memory_is_bounded():
     assert peak < 16 * 2**20
 
 
+@pytest.mark.parametrize("n_c, m", [(2, 12), (2, 13), (3, 12), (4, 11)])
+def test_enumerate_partitions_same_for_any_chunk(n_c, m):
+    # chunk sets the suffix length b (n_c**b <= chunk); entries in {-2..2}
+    # make every sum exact, and each case has 2 to 7 maxima, which tests
+    # the first-maximum rule across prefix blocks and suffix tables
+    rng = np.random.default_rng([n_c, m])
+    s = rng.integers(-1, 2, size=(m, m)).astype(float)
+    s = s + s.T
+    # below chunk = 16, n_c > 2 extends one prefix per call and takes seconds
+    chunks = (2, 3, 16, 4096) if n_c == 2 else (16, 4096)
+    results = [_kernels.enumerate_partitions(s, n_c, chunk=chunk) for chunk in chunks]
+    val, lab = results[0]
+    assert val == s[np.equal.outer(lab, lab)].sum()
+    assert all(l <= max(lab[:i], default=-1) + 1 for i, l in enumerate(lab))
+    assert lab.max() < n_c
+    for other_val, other_lab in results[1:]:
+        assert other_val == val
+        assert other_lab.tolist() == lab.tolist()
+
+
+def test_suffix_table_lists_every_suffix_with_its_admissibility():
+    # enumerate_partitions' result cannot show the -inf mask: a string that
+    # is not a restricted growth string scores exactly as its canonical
+    # relabelling, which comes first; so test the table itself
+    rng = np.random.default_rng(73)
+    s = rng.integers(-2, 3, size=(7, 7)).astype(float)
+    s = s + s.T
+    for n_c, a in [(2, 1), (2, 3), (3, 2), (4, 4)]:
+        y, internal, need, _ = _kernels._suffix_table(s, n_c, a)
+        assert y.tolist() == [list(t) for t in itertools.product(range(n_c), repeat=7 - a)]
+        tail = s[a:, a:]
+        for lab, score, lowest in zip(y, internal, need):
+            assert score == tail[np.equal.outer(lab, lab)].sum()
+            for top in range(n_c):
+                seen = itertools.accumulate(lab, max, initial=top)
+                admitted = all(l <= t + 1 for l, t in zip(lab, seen))
+                assert (lowest <= top) == admitted
+
+
+def test_enumerate_partitions_memory_at_the_cli_limit():
+    # nL = 23 is the largest that `oracle --nc 2` accepts (2**23 <= 10**7)
+    rng = np.random.default_rng(74)
+    s = rng.standard_normal((23, 23))
+    s = s + s.T
+    tracemalloc.start()
+    try:
+        _kernels.enumerate_partitions(s, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def test_label_edge_sums_match_dense_mask(florentine):
     net, _ = florentine
     rng = np.random.default_rng(70)

@@ -4,9 +4,12 @@
 symmetric LinearOperator.  Small operators (dim <= dense_cutoff) are
 solved directly with a dense decomposition, which resolves repeated
 eigenvalues exactly.  Larger ones use thick-restart Lanczos (Wu & Simon
-2000) with full reorthogonalization (two-pass Gram-Schmidt) in a working
-subspace of m = min(dim, k + max(k, 15)) vectors.  The projected matrix
-H is filled from the actual Gram-Schmidt coefficients, so
+2000) with full reorthogonalization in a working subspace of
+m = min(dim, k + max(k, 15)) vectors: a plain step subtracts the
+three-term recurrence, then makes one full classical Gram-Schmidt pass;
+the first step after a start or restart, which couples to every kept
+Ritz vector, makes two full passes.  The projected matrix H is filled
+from the actual Gram-Schmidt coefficients, so
 ``A V = V H + beta v e_m^T`` holds with the next basis vector v; each
 restart keeps the leading Ritz vectors and continues from v.
 
@@ -163,11 +166,23 @@ def _thick_restart(op, k, tol, scale_floor, rng, start, locked=None, above=None)
         while completed < m:
             j = completed
             w = op.apply(V[:, j])
-            c = V[:, : j + 1].T @ w
-            w -= V[:, : j + 1] @ c
-            c2 = V[:, : j + 1].T @ w
-            w -= V[:, : j + 1] @ c2
-            c += c2
+            if j > keep:
+                # plain step: the three-term recurrence, then one full pass
+                w -= H[j - 1, j] * V[:, j - 1]
+                alpha = V[:, j] @ w
+                w -= alpha * V[:, j]
+                c = V[:, : j + 1].T @ w
+                w -= V[:, : j + 1] @ c
+                c[j - 1] += H[j - 1, j]
+                c[j] += alpha
+            else:
+                # first step after a start or restart couples to every
+                # kept Ritz vector: two full passes
+                c = V[:, : j + 1].T @ w
+                w -= V[:, : j + 1] @ c
+                c2 = V[:, : j + 1].T @ w
+                w -= V[:, : j + 1] @ c2
+                c += c2
             H[: j + 1, j] = c
             H[j, : j + 1] = c
             beta = np.linalg.norm(w)

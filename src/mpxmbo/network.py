@@ -33,6 +33,7 @@ communities, one line per node-layer pair, sorted by (layer, node).
 
 from __future__ import annotations
 
+import io
 import itertools
 import re
 import warnings
@@ -324,13 +325,13 @@ _DTYPES = {int: np.int64, float: np.float64, str: object}
 _PAIR = "pair ({},{})"
 
 
-def _data_lines(path):
-    """Yield (line_number, stripped_line) for non-blank lines."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line:
-                yield lineno, line
+def _data_lines(text):
+    """Yield (line_number, stripped_line) for the non-blank lines of text, from its start."""
+    text.seek(0)
+    for lineno, raw in enumerate(text, start=1):
+        line = raw.strip()
+        if line:
+            yield lineno, line
 
 
 class _Rows:
@@ -338,17 +339,18 @@ class _Rows:
 
     ``comments`` holds the (line, text) of the ``#`` lines read, ``first``
     the first data line, and ``fault`` the (line, message or exception)
-    that stopped reading.  Row line numbers are counted only for an error.
+    that stopped reading.  ``text`` is the file's one in-memory copy; the
+    line number of row i is counted from it only for an error.
     """
 
-    def __init__(self, path, cols, comments, first, lines=None, fault=None):
-        self.path, self.cols, self.comments = path, cols, comments
-        self.first, self.lines, self.fault = first, lines, fault
+    def __init__(self, text, path, cols, comments, first, fault=None):
+        self.text, self.path, self.cols, self.comments = text, path, cols, comments
+        self.first, self.fault = first, fault
 
     def line(self, i):
-        if self.lines is None:
-            self.lines = [no for no, line in _data_lines(self.path) if line[0] != "#"]
-        return self.lines[i]
+        # stops at row i, so a decoding fault after it is not met again
+        data = (no for no, line in _data_lines(self.text) if line[0] != "#")
+        return next(itertools.islice(data, i, None))
 
 
 def _read_rows(path, kinds, what, expected, mixed=None):
@@ -361,30 +363,29 @@ def _read_rows(path, kinds, what, expected, mixed=None):
     `np.loadtxt` if it accepts the file, with Python otherwise (tokens such
     as ``1_0``, mixed counts, comments after data, or a fault).
     """
+    with open(path, "rb") as fh:  # read once: a pipe cannot be read again
+        text = io.TextIOWrapper(io.BytesIO(fh.read()), encoding="utf-8")
     try:
-        with open(path, encoding="utf-8") as fh:
-            comments, line = [], ""
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if line and line[0] != "#":
-                    break
-                if line:
-                    comments.append((lineno, line))
-            width = len(line.split())
-            if line and line[0] != "#" and width in kinds:
-                dtype = [(f"c{j}", _DTYPES[t]) for j, t in enumerate(kinds[width][:width])]
-                with warnings.catch_warnings():
-                    # older numpy reads "1.0" in an int column, with only this warning
-                    warnings.simplefilter("error", DeprecationWarning)
-                    table = np.loadtxt(itertools.chain([raw], fh), dtype, comments=None, ndmin=1)
-                cols = [table[name] for name, _ in dtype]
-                cols += [np.full(table.size, value) for value in kinds[width][width:]]
-                return _Rows(path, cols, comments, lineno)
+        comments, line = [], ""
+        for lineno, line in _data_lines(text):
+            if line[0] != "#":
+                break
+            comments.append((lineno, line))
+        width = len(line.split())
+        if line and line[0] != "#" and width in kinds:
+            dtype = [(f"c{j}", _DTYPES[t]) for j, t in enumerate(kinds[width][:width])]
+            with warnings.catch_warnings():
+                # older numpy reads "1.0" in an int column, with only this warning
+                warnings.simplefilter("error", DeprecationWarning)
+                table = np.loadtxt(itertools.chain([line], text), dtype, comments=None, ndmin=1)
+            cols = [table[name] for name, _ in dtype]
+            cols += [np.full(table.size, value) for value in kinds[width][width:]]
+            return _Rows(text, path, cols, comments, lineno)
     except (ValueError, DeprecationWarning):
         pass  # a line loadtxt refuses, or bytes that are not UTF-8
-    rows, lines, comments, first, fault = [], [], [], None, None
+    rows, comments, first, fault = [], [], None, None
     try:
-        for lineno, line in _data_lines(path):
+        for lineno, line in _data_lines(text):
             if line[0] == "#":
                 comments.append((lineno, line))
                 continue
@@ -399,12 +400,11 @@ def _read_rows(path, kinds, what, expected, mixed=None):
             except ValueError as exc:
                 fault = (lineno, f"cannot parse {what} line: {exc}")
                 break
-            lines.append(lineno)
     except UnicodeDecodeError as exc:  # raised after the lines before it
         fault = (float("inf"), exc)
     types = kinds[len(rows[0])] if rows else kinds[max(kinds)]
     cols = [_column(c, t) for c, t in zip(list(zip(*rows)) or [()] * len(types), types)]
-    return _Rows(path, cols, comments, first, lines, fault)
+    return _Rows(text, path, cols, comments, first, fault)
 
 
 def _column(values, kind):

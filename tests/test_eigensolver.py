@@ -138,6 +138,38 @@ def test_deflation_check_stops_at_its_answer(monkeypatch):
     assert 0 < len(check_matvecs) <= 16
 
 
+def _kron3_clustered():
+    # kron(I3, B) holds every eigenvalue of B three times, in clusters
+    # that a single Krylov sequence cannot split
+    g = np.random.default_rng(3).standard_normal((250, 250))
+    a = np.kron(np.eye(3), g + g.T)
+    return LinearOperator(a.shape[0], lambda x: a @ x, "kron3"), 9, 0.0
+
+
+def _planted(operator):
+    net = planted_network(np.random.default_rng(7), 1000, 4, 16, mean_degree=16, mix=0.3)
+    deg, gamma = compute_degrees(net), np.ones(4)
+    if operator == "mod":
+        return modularity_op(net, deg, gamma), 60, 0.0
+    op, sigma = shifted_neg_lk_op(net, deg, gamma)
+    return op, 60, sigma
+
+
+@pytest.mark.parametrize("case", ["mod", "lk", "kron3"])
+def test_ritz_vectors_stay_orthonormal(case):
+    # plain Lanczos steps orthogonalize with one full Gram-Schmidt pass
+    # after the three-term recurrence; the basis must stay orthonormal
+    op, k, floor = _kron3_clustered() if case == "kron3" else _planted(case)
+    tol = 1e-8
+    basis = largest_eigenpairs(op, k, tol=tol, scale_floor=floor, dense_cutoff=0, rng_seed=1)
+    x, theta = basis.eigenvectors, basis.eigenvalues
+    assert np.abs(x.T @ x - np.eye(k)).max() <= 1e-12
+    scale = max(np.abs(theta).max(), floor)
+    assert np.all(basis.residuals <= tol * scale)
+    true_resid = np.linalg.norm(op.apply(x) - x * theta, axis=0)
+    assert np.all(true_resid <= tol * scale)
+
+
 def test_mpbtv_basis_unshifted_and_negative(florentine):
     net, deg = florentine
     basis = basis_for_method("mpbtv", net, deg, 1.0, 6)

@@ -1,5 +1,6 @@
 """Network model, degrees, and file format round trips."""
 
+import os
 import warnings
 
 import numpy as np
@@ -503,6 +504,35 @@ def test_bytes_not_utf8_fail_after_the_lines_before_them(tmp_path):
     path.write_bytes(body.replace(b"1\t1\t2\n", b"1\t1\t3\n", 1))
     with pytest.raises(NetworkFormatError, match="line 2: node id out of range"):
         load_network(path)
+
+
+@pytest.fixture
+def pipe_path():
+    """A /dev/fd path to a pipe holding the given text; it reads only once."""
+    fds = []
+
+    def make(text):
+        r, w = os.pipe()
+        fds.append(r)
+        os.write(w, text.encode("utf-8"))
+        os.close(w)
+        return f"/dev/fd/{r}"
+
+    yield make
+    for fd in fds:
+        os.close(fd)
+
+
+def test_range_error_in_a_pipe_names_its_line(pipe_path):
+    path = pipe_path("#multiplex n=2 L=1\n1\t1\t3\n")
+    with pytest.raises(NetworkFormatError, match="line 2: node id out of range 1..2"):
+        load_network(path)
+
+
+def test_token_loadtxt_refuses_reads_from_a_pipe(pipe_path):
+    # loadtxt refuses 1_0, so the Python tokenizer reads the lines a second time
+    net = load_network(pipe_path("#multiplex n=2 L=1\n1\t1\t2\t1_0\n"))
+    assert net.intra[0].toarray()[0, 1] == 10.0
 
 
 def test_coupling_diagonal_entry_rejected(tmp_path):

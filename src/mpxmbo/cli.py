@@ -213,13 +213,13 @@ def _config(args, n_c, k):
 
 def cmd_detect(args):
     net, deg, gamma = _load(args)
+    truth = load_labels(args.truth, net) if args.truth else None
     config = _config(args, args.nc, args.k)
     config.check(net)
     basis, offline = _basis(
         net, deg, gamma, config.method, config.k, config.eig_tol, config.seed, args.basis_cache
     )
     result = detect(net, deg, config, basis=basis, threads=args.threads)
-    truth = load_labels(args.truth, net) if args.truth else None
     report = evaluate(result.best.partition, net, deg, gamma, truth)
     save_partition(result.best.partition, net, args.out)
     print(f"method: {config.method}")

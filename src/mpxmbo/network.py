@@ -33,8 +33,10 @@ communities, one line per node-layer pair, sorted by (layer, node).
 
 from __future__ import annotations
 
+import contextlib
 import io
 import itertools
+import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -63,14 +65,10 @@ class NetworkFormatError(ValueError):
     """Malformed network, coupling, label, or partition file."""
 
     def __init__(self, message, path=None, line=None):
-        loc = ""
-        if path is not None:
-            loc = f"{path}: "
-        if line is not None:
-            loc += f"line {line}: "
+        loc = "" if path is None else f"{path}: "
+        loc += "" if line is None else f"line {line}: "
         super().__init__(loc + message)
-        self.path = path
-        self.line = line
+        self.path, self.line = path, line
 
 
 class SparseSym:
@@ -84,10 +82,7 @@ class SparseSym:
     __slots__ = ("n", "rows", "cols", "data")
 
     def __init__(self, n, rows, cols, data):
-        self.n = int(n)
-        self.rows = rows
-        self.cols = cols
-        self.data = data
+        self.n, self.rows, self.cols, self.data = int(n), rows, cols, data
 
     @classmethod
     def from_coo(cls, n, rows, cols, data):
@@ -98,29 +93,30 @@ class SparseSym:
         data = np.asarray(data, dtype=np.float64)
         if not (rows.shape == cols.shape == data.shape):
             raise ValueError("rows, cols, data must have equal length")
-        if rows.size:
-            if rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n:
-                raise ValueError("index out of range")
-            if not np.all(np.isfinite(data)):
-                raise ValueError("non-finite weight")
-            if data.min() < 0:
-                raise ValueError("negative weight")
-        # Both sorts are stable: duplicates keep input order, so the (i, j)
-        # and (j, i) duplicate groups sum in the same order -> exact symmetry.
-        # rows * n + cols orders as (rows, cols) and fits int64 while
-        # n <= floor(sqrt(2**63)); it sorts in one pass, lexsort in two.
-        if n <= 3037000499:
+        nnz = rows.size
+        if not nnz:
+            return cls(n, rows, cols, data)
+        if rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n:
+            raise ValueError("index out of range")
+        if not np.all(np.isfinite(data)):
+            raise ValueError("non-finite weight")
+        if data.min() < 0:
+            raise ValueError("negative weight")
+        # Each order is the stable one, so the (i, j) and (j, i) duplicate
+        # groups sum in input order -> exact symmetry.  rows * n + cols orders
+        # as (rows, cols); appending the input position makes the keys unique,
+        # so the default sort is stable.  Past int64, sort stably or lexsort.
+        if n * n <= (2**63 - 1) // nnz:
+            order = np.argsort((rows * n + cols) * nnz + np.arange(nnz))
+        elif n <= 3037000499:  # floor(sqrt(2**63))
             order = np.argsort(rows * n + cols, kind="stable")
         else:
             order = np.lexsort((cols, rows))
         rows, cols, data = rows[order], cols[order], data[order]
-        if rows.size:
-            first = np.ones(rows.size, dtype=bool)
-            first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-            starts = np.flatnonzero(first)
-            data = np.add.reduceat(data, starts)
-            rows, cols = rows[starts], cols[starts]
-        return cls(n, rows, cols, data)
+        first = np.ones(nnz, dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        starts = np.flatnonzero(first)
+        return cls(n, rows[starts], cols[starts], np.add.reduceat(data, starts))
 
     @classmethod
     def from_dense(cls, a):
@@ -149,10 +145,6 @@ class SparseSym:
         if self.nnz == 0:
             return np.zeros(self.n)
         return np.bincount(self.rows, weights=self.data, minlength=self.n)
-
-    def total(self):
-        """Sum of all stored entries (equals 1^T A 1)."""
-        return float(self.data.sum())
 
     def matvec(self, x):
         return _kernels.csr_matvec(self.rows, self.cols, self.data, x, self.n)
@@ -220,8 +212,7 @@ class MultiplexNetwork:
         """Build from dense per-layer adjacency matrices (mainly for tests)."""
         intra = tuple(SparseSym.from_dense(a) for a in layers)
         L = len(intra)
-        if coupling is None:
-            coupling = all_to_all_coupling(L)
+        coupling = all_to_all_coupling(L) if coupling is None else coupling
         return cls(intra[0].n, L, intra, coupling, omega)
 
 
@@ -339,8 +330,8 @@ class _Rows:
 
     ``comments`` holds the (line, text) of the ``#`` lines read, ``first``
     the first data line, and ``fault`` the (line, message or exception)
-    that stopped reading.  ``text`` is the file's one in-memory copy; the
-    line number of row i is counted from it only for an error.
+    that stopped reading.  ``text`` is the open stream the rows came from;
+    the line number of row i is counted from it only for an error.
     """
 
     def __init__(self, text, path, cols, comments, first, fault=None):
@@ -353,7 +344,19 @@ class _Rows:
         return next(itertools.islice(data, i, None))
 
 
+@contextlib.contextmanager
 def _read_rows(path, kinds, what, expected, mixed=None):
+    """`_parse_rows` of a file: a regular file is streamed, others are copied once."""
+    if os.path.isfile(path):
+        text = open(path, encoding="utf-8")
+    else:
+        with open(path, "rb") as fh:
+            text = io.TextIOWrapper(io.BytesIO(fh.read()), encoding="utf-8")
+    with text:
+        yield _parse_rows(text, path, kinds, what, expected, mixed)
+
+
+def _parse_rows(text, path, kinds, what, expected, mixed):
     """Read the data lines of a whitespace-separated file as typed columns.
 
     ``kinds`` maps each accepted column count to its column types (int,
@@ -363,8 +366,6 @@ def _read_rows(path, kinds, what, expected, mixed=None):
     `np.loadtxt` if it accepts the file, with Python otherwise (tokens such
     as ``1_0``, mixed counts, comments after data, or a fault).
     """
-    with open(path, "rb") as fh:  # read once: a pipe cannot be read again
-        text = io.TextIOWrapper(io.BytesIO(fh.read()), encoding="utf-8")
     try:
         comments, line = [], ""
         for lineno, line in _data_lines(text):
@@ -457,52 +458,50 @@ def load_network(path, coupling_path=None, omega=1.0):
     MultiplexNetwork
     """
     kinds = {3: (int, int, int, 1.0), 4: (int, int, int, float)}
-    rows = _read_rows(path, kinds, "edge", "expected 'layer u v [weight]'")
-    headers = [(no, m) for no, line in rows.comments if (m := _HEADER_RE.match(line))]
-    found, n, L = [(no, "duplicate #multiplex header") for no, _ in headers[1:2]], 0, 0
-    if headers:
-        n, L = int(headers[0][1].group(1)), int(headers[0][1].group(2))
-        if n < 1 or L < 1:
-            found.append((headers[0][0], "header requires n >= 1 and L >= 1"))
-    if rows.first is not None and (not headers or rows.first < headers[0][0]):
-        found.append((rows.first, "edge line before #multiplex header"))
-    layer, u, v, w = rows.cols
-    _raise_first(rows, found, [
-        ((layer < 1) | (layer > L), lambda i: f"layer id {layer[i]} out of range 1..{L}"),
-        ((u < 1) | (u > n) | (v < 1) | (v > n), lambda i: f"node id out of range 1..{n}"),
-        (~np.isfinite(w), lambda i: "non-finite weight"),
-        (w < 0, lambda i: f"negative weight {float(w[i])}"),
-    ])  # fmt: skip
+    with _read_rows(path, kinds, "edge", "expected 'layer u v [weight]'") as rows:
+        headers = [(no, m) for no, line in rows.comments if (m := _HEADER_RE.match(line))]
+        found, n, L = [(no, "duplicate #multiplex header") for no, _ in headers[1:2]], 0, 0
+        if headers:
+            n, L = int(headers[0][1].group(1)), int(headers[0][1].group(2))
+            if n < 1 or L < 1:
+                found.append((headers[0][0], "header requires n >= 1 and L >= 1"))
+        if rows.first is not None and (not headers or rows.first < headers[0][0]):
+            found.append((rows.first, "edge line before #multiplex header"))
+        layer, u, v, w = rows.cols
+        _raise_first(rows, found, [
+            ((layer < 1) | (layer > L), lambda i: f"layer id {layer[i]} out of range 1..{L}"),
+            ((u < 1) | (u > n) | (v < 1) | (v > n), lambda i: f"node id out of range 1..{n}"),
+            (~np.isfinite(w), lambda i: "non-finite weight"),
+            (w < 0, lambda i: f"negative weight {float(w[i])}"),
+        ])  # fmt: skip
     if not headers:
         raise NetworkFormatError("missing #multiplex header", path)
     # per layer, both orientations of each line in file order (a self-loop
-    # once), so that duplicates sum in the order a line loop sums them
+    # once), so that duplicates sum in the order a line loop sums them; ids
+    # in the smallest dtype holding L sort by radix while L < 2**16
     intra = []
     cuts = np.cumsum(np.bincount(layer - 1, minlength=L))[:-1]
-    for lines in np.split(np.argsort(layer, kind="stable"), cuts):
+    for lines in np.split(np.argsort(layer.astype(np.min_scalar_type(L)), kind="stable"), cuts):
         a, b = u[lines] - 1, v[lines] - 1
         keep = np.ones(2 * lines.size, dtype=bool)
         keep[1::2] = a != b
         r, c = np.column_stack([a, b]).ravel(), np.column_stack([b, a]).ravel()
         intra.append(SparseSym.from_coo(n, r[keep], c[keep], np.repeat(w[lines], 2)[keep]))
-    if coupling_path is None:
-        coupling = all_to_all_coupling(L)
-    else:
-        coupling = _load_coupling(coupling_path, L)
+    coupling = all_to_all_coupling(L) if coupling_path is None else _load_coupling(coupling_path, L)
     return MultiplexNetwork(n, L, tuple(intra), coupling, omega)
 
 
 def _load_coupling(path, L):
-    rows = _read_rows(path, {3: (int, int, float)}, "coupling", "expected 'k l weight'")
-    k, l, w = rows.cols
-    lo, hi = np.minimum(k, l), np.maximum(k, l)
-    _raise_first(rows, [], [
-        ((k < 1) | (k > L) | (l < 1) | (l > L), lambda i: f"layer id out of range 1..{L}"),
-        (k == l, lambda i: "self-referential coupling entry"),
-        (~np.isfinite(w) | (w < 0), lambda i: "coupling weight must be finite and >= 0"),
-        (_first_of(lo * (L + 1) + hi) != np.arange(k.size),
-         lambda i: f"duplicate coupling entry for layers {(int(lo[i]), int(hi[i]))}"),
-    ])  # fmt: skip
+    with _read_rows(path, {3: (int, int, float)}, "coupling", "expected 'k l weight'") as rows:
+        k, l, w = rows.cols
+        lo, hi = np.minimum(k, l), np.maximum(k, l)
+        _raise_first(rows, [], [
+            ((k < 1) | (k > L) | (l < 1) | (l > L), lambda i: f"layer id out of range 1..{L}"),
+            (k == l, lambda i: "self-referential coupling entry"),
+            (~np.isfinite(w) | (w < 0), lambda i: "coupling weight must be finite and >= 0"),
+            (_first_of(lo * (L + 1) + hi) != np.arange(k.size),
+             lambda i: f"duplicate coupling entry for layers {(int(lo[i]), int(hi[i]))}"),
+        ])  # fmt: skip
     coupling = np.zeros((L, L))
     coupling[k - 1, l - 1] = w
     coupling[l - 1, k - 1] = w
@@ -556,26 +555,26 @@ def load_labels(path, net):
     Partition
     """
     n, L = net.n, net.L
-    rows = _read_rows(
+    with _read_rows(
         path, {2: (int, str), 3: (int, int, str)}, "label",
         "expected 'node label' or 'node layer label'", mixed="mixed label-file formats",
-    )  # fmt: skip
-    node, layer, labels = rows.cols[0], rows.cols[-2], rows.cols[-1].tolist()
-    per_pair = len(rows.cols) == 3
-    _raise_first(rows, [], [
-        ((node < 1) | (node > n), lambda i: f"node id {node[i]} out of range 1..{n}"),
-        (per_pair & ((layer < 1) | (layer > L)),
-         lambda i: f"layer id {layer[i]} out of range 1..{L}"),
-    ])  # fmt: skip
-    if not labels:
-        raise NetworkFormatError("empty label file", path)
-    remap = {lab: code for code, lab in enumerate(dict.fromkeys(labels), start=1)}
-    code = np.array([remap[lab] for lab in labels], dtype=np.int64)
-    idx, where = ((layer - 1) * n + node - 1, _PAIR) if per_pair else (node - 1, "node {}")
-    _raise_first(rows, [], [
-        (code != code[_first_of(idx)],
-         lambda i: "conflicting labels for " + where.format(node[i], layer[i])),
-    ])  # fmt: skip
+    ) as rows:  # fmt: skip
+        node, layer, labels = rows.cols[0], rows.cols[-2], rows.cols[-1].tolist()
+        per_pair = len(rows.cols) == 3
+        _raise_first(rows, [], [
+            ((node < 1) | (node > n), lambda i: f"node id {node[i]} out of range 1..{n}"),
+            (per_pair & ((layer < 1) | (layer > L)),
+             lambda i: f"layer id {layer[i]} out of range 1..{L}"),
+        ])  # fmt: skip
+        if not labels:
+            raise NetworkFormatError("empty label file", path)
+        remap = {lab: code for code, lab in enumerate(dict.fromkeys(labels), start=1)}
+        code = np.array([remap[lab] for lab in labels], dtype=np.int64)
+        idx, where = ((layer - 1) * n + node - 1, _PAIR) if per_pair else (node - 1, "node {}")
+        _raise_first(rows, [], [
+            (code != code[_first_of(idx)],
+             lambda i: "conflicting labels for " + where.format(node[i], layer[i])),
+        ])  # fmt: skip
     assignment = np.zeros(n * L if per_pair else n, dtype=np.int64)
     assignment[idx] = code
     _check_complete(assignment, n, where, path)
@@ -589,17 +588,17 @@ def load_partition(path, net):
     inverse of `save_partition`.
     """
     n, L = net.n, net.L
-    rows = _read_rows(path, {3: (int, int, int)}, "partition", "expected 'node layer community'")
-    node, layer, com = rows.cols
-    idx = (layer - 1) * n + node - 1
-    _raise_first(rows, [], [
-        ((node < 1) | (node > n) | (layer < 1) | (layer > L),
-         lambda i: "node or layer id out of range"),
-        (com < 1, lambda i: f"community label {com[i]} must be >= 1"),
-        (com > n * L, lambda i: f"community label {com[i]} out of range 1..{n * L}"),
-        (com != com[_first_of(idx)],
-         lambda i: "conflicting labels for " + _PAIR.format(node[i], layer[i])),
-    ])  # fmt: skip
+    with _read_rows(path, {3: (int,) * 3}, "partition", "expected 'node layer community'") as rows:
+        node, layer, com = rows.cols
+        idx = (layer - 1) * n + node - 1
+        _raise_first(rows, [], [
+            ((node < 1) | (node > n) | (layer < 1) | (layer > L),
+             lambda i: "node or layer id out of range"),
+            (com < 1, lambda i: f"community label {com[i]} must be >= 1"),
+            (com > n * L, lambda i: f"community label {com[i]} out of range 1..{n * L}"),
+            (com != com[_first_of(idx)],
+             lambda i: "conflicting labels for " + _PAIR.format(node[i], layer[i])),
+        ])  # fmt: skip
     assignment = np.zeros(n * L, dtype=np.int64)
     assignment[idx] = com
     _check_complete(assignment, n, _PAIR, path)

@@ -248,6 +248,22 @@ def test_basis_cache_reuse_and_stale(capsys, tmp_path):
     assert get_field(out3, "offline seconds") != "0"
 
 
+def test_bad_truth_file_fails_before_the_solve(capsys, tmp_path):
+    # detect reads --truth right after the network, so a malformed truth
+    # file ends it before the basis cache or the partition is written
+    truth = tmp_path / "truth.tsv"
+    truth.write_text("1\ta\n2\n3\tb\n", encoding="utf-8")
+    cache, part = tmp_path / "basis.npz", tmp_path / "p.tsv"
+    rc, out, err = run_cli(
+        capsys,
+        "detect", "--input", FLORENTINE, "--method", "dgfm3", "--nc", "3", "--k", "4",
+        "--truth", str(truth), "--basis-cache", str(cache), "--out", str(part),
+    )
+    assert (rc, out) == (1, "")
+    assert err == f"error: {truth}: line 2: expected 'node label' or 'node layer label'\n"
+    assert not cache.exists() and not part.exists()
+
+
 def test_basis_cache_path_without_npz_suffix(capsys, tmp_path):
     # the cache is written to exactly the given path, so the second run
     # finds it even without an .npz suffix

@@ -1,5 +1,6 @@
 """Network model, degrees, and file format round trips."""
 
+import gc
 import os
 import warnings
 
@@ -474,6 +475,59 @@ def test_from_coo_sort_exact_at_any_n(n):
     got = SparseSym.from_coo(n, ids[rows], ids[cols], data)
     assert np.array_equal(got.rows, ids[want.rows]) and np.array_equal(got.cols, ids[want.cols])
     assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
+
+
+@pytest.mark.parametrize("n", [7, 6000, 3037000499])
+def test_from_coo_matches_stable_sort_and_reduceat(n):
+    # the reference: a stable sort of rows * n + cols, then one sum per run
+    # of equal pairs; at n = 3037000499, n * n * nnz overflows int64
+    rng = np.random.default_rng(29)
+    ids = np.unique(np.r_[0, n - 1, rng.integers(0, n, 6)])
+    pool = ids[rng.integers(0, ids.size, (12, 2))]  # few pairs: many copies
+    edges = pool[rng.integers(0, len(pool), 300)]
+    edges[::2] = edges[::2, ::-1]  # each pair listed as (u, v) and as (v, u)
+    a, b, w = edges[:, 0], edges[:, 1], rng.lognormal(0.0, 4.0, len(edges))
+    keep = np.repeat(a != b, 2)
+    keep[::2] = True  # as load_network lists it: a self-loop once
+    rows, cols = np.c_[a, b].ravel()[keep], np.c_[b, a].ravel()[keep]
+    data = np.repeat(w, 2)[keep]
+    order = np.argsort(rows * n + cols, kind="stable")
+    r, c, d = rows[order], cols[order], data[order]
+    starts = np.flatnonzero(np.r_[True, (r[1:] != r[:-1]) | (c[1:] != c[:-1])])
+    assert np.diff(starts).max() >= 6  # some pair has 3+ copies, both ways
+    got = SparseSym.from_coo(n, rows, cols, data)
+    assert np.array_equal(got.rows, r[starts]) and np.array_equal(got.cols, c[starts])
+    want = np.add.reduceat(d, starts)
+    assert np.array_equal(got.data.view(np.int64), want.view(np.int64))
+    t = np.lexsort((got.rows, got.cols))  # the transpose, in (row, col) order
+    assert np.array_equal(got.rows[t], got.cols) and np.array_equal(got.cols[t], got.rows)
+    assert np.array_equal(got.data[t].view(np.int64), got.data.view(np.int64))
+
+
+def test_loaders_close_regular_files(tmp_path):
+    # a regular file is streamed, and every loader closes it, also when it
+    # raises; a file object left open warns when it is collected
+    net = write(tmp_path, "n.mpx", "#multiplex n=3 L=2\n1\t1\t2\n2\t2\t3\t1_0\n")
+    part = "".join(f"{j}\t{l}\t1\n" for l in (1, 2) for j in (1, 2, 3))
+    cases = [  # (loader, valid file, a last line out of range)
+        (load_network, "#multiplex n=3 L=2\n1\t1\t2\n", "1\t1\t4\n"),
+        (lambda p: load_network(net, coupling_path=p), "1\t2\t0.5\n", "1\t3\t1\n"),
+        (lambda p: load_labels(p, load_network(net)), "1\ta\n2\tb\n3\ta\n", "4\tb\n"),
+        (lambda p: load_partition(p, load_network(net)), part, "1\t3\t1\n"),
+    ]
+    path = tmp_path / "f.txt"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        for load, body, last in cases:
+            path.write_bytes(body.encode())
+            load(path)
+            for tail, error in [(last.encode(), NetworkFormatError),
+                                (b"\xff\n", UnicodeDecodeError)]:  # fmt: skip
+                path.write_bytes(body.encode() + tail)
+                with pytest.raises(error):
+                    load(path)
+        gc.collect()
+    assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 @pytest.mark.parametrize("token", ["1.0", "1e3", "0x10", "2#x", "1_0", "٣"])

@@ -49,17 +49,9 @@ from .network import (
     load_labels,
     load_network,
     load_partition,
-    save_network,
     save_partition,
 )
-from .operators import (
-    LinearOperator,
-    balance_op,
-    modularity_op,
-    shifted_neg_lk_op,
-    supra_adjacency_op,
-    supra_laplacian_op,
-)
+from .operators import LinearOperator, modularity_op, shifted_neg_lk_op
 
 __version__ = "0.1.0"
 
@@ -101,13 +93,9 @@ __all__ = [
     "load_network",
     "load_partition",
     "all_to_all_coupling",
-    "save_network",
     "save_partition",
     "LinearOperator",
-    "balance_op",
     "modularity_op",
     "shifted_neg_lk_op",
-    "supra_adjacency_op",
-    "supra_laplacian_op",
     "__version__",
 ]

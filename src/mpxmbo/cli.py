@@ -280,6 +280,10 @@ def cmd_grid(args):
     net, deg, gamma = _load(args)
     nc_lo, nc_hi = _parse_range(args.nc_range, "--nc-range")
     k_lo, k_hi = _parse_range(args.k_range, "--k-range")
+    # every check on a cell is a bound on n_c or k, so the two corner cells
+    # reject a bad range before the solve and before any row is printed
+    for n_c, k in ((nc_lo, k_lo), (nc_hi, k_hi)):
+        _config(args, n_c, k).check(net)
     # one offline solve at the largest k; smaller cells truncate columns,
     # which is sound because each eigenpair is certified individually
     basis, _ = _basis(net, deg, gamma, args.method, k_hi, args.eig_tol, args.seed)

@@ -9,8 +9,10 @@ Multiplex modularity of a partition U (one-hot rows, layer-major order) is
 with 2mu the total strength of the supra graph.  `multiplex_modularity`
 evaluates exactly this grouped expression (one division at the end);
 `multiplex_modularity_sumform` evaluates the literal double sum over
-node-layer pairs with dense per-layer blocks and exists as an independent
-arithmetic path for validation.
+node-layer pairs: the same-community entries of the dense supra
+modularity matrix (the one the exhaustive oracle scores), summed and
+divided by 2mu.  It exists as an independent arithmetic path for
+validation.
 """
 
 from __future__ import annotations
@@ -97,29 +99,15 @@ def multiplex_modularity(partition, net, deg, gamma):
 def multiplex_modularity_sumform(partition, net, deg, gamma):
     """Literal double sum over node-layer pairs (quadratic; validation).
 
-    Assembles each dense intra-layer modularity block and sums its
-    same-community entries, so its arithmetic is independent of the
+    Sums the same-community entries of the dense supra modularity matrix
+    that the oracle also scores, so its arithmetic is independent of the
     grouped evaluation in `multiplex_modularity`.
     """
-    gamma = gamma_vector(gamma, net.L)
     if deg.total_strength <= 0:
         raise ValueError("modularity undefined: total strength is zero")
-    lab = _layer_labels(partition, net)
-    num = 0.0
-    for l, a in enumerate(net.intra):
-        block = a.toarray()
-        if deg.layer_strengths[l] > 0:
-            d = deg.intra_degrees[l]
-            block = block - (gamma[l] / deg.layer_strengths[l]) * np.outer(d, d)
-        same = lab[l][:, None] == lab[l][None, :]
-        num += float(block[same].sum())
-    if net.omega != 0.0 and net.L > 1:
-        for k in range(net.L):
-            for l in range(net.L):
-                if k != l and net.coupling[k, l] != 0.0:
-                    agree = int(np.count_nonzero(lab[k] == lab[l]))
-                    num += net.omega * net.coupling[k, l] * agree
-    return num / deg.total_strength
+    lab = _layer_labels(partition, net).ravel()
+    S = _dense_modularity_matrix(net, deg, gamma)
+    return float(S[lab[:, None] == lab[None, :]].sum()) / deg.total_strength
 
 
 def balanced_tv_objective(partition, net, deg, gamma):

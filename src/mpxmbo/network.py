@@ -53,7 +53,6 @@ __all__ = [
     "Partition",
     "gamma_vector",
     "load_network",
-    "save_network",
     "compute_degrees",
     "load_labels",
     "load_partition",
@@ -117,20 +116,6 @@ class SparseSym:
         first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
         starts = np.flatnonzero(first)
         return cls(n, rows[starts], cols[starts], np.add.reduceat(data, starts))
-
-    @classmethod
-    def from_dense(cls, a):
-        a = np.asarray(a, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("square matrix required")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("non-finite entry")
-        if not np.array_equal(a, a.T):
-            raise ValueError("matrix is not exactly symmetric")
-        if a.size and a.min() < 0:
-            raise ValueError("negative entry")
-        rows, cols = np.nonzero(a)
-        return cls.from_coo(a.shape[0], rows, cols, a[rows, cols])
 
     @property
     def nnz(self):
@@ -206,14 +191,6 @@ class MultiplexNetwork:
     @property
     def nL(self):
         return self.n * self.L
-
-    @classmethod
-    def from_dense_layers(cls, layers, coupling=None, omega=1.0):
-        """Build from dense per-layer adjacency matrices (mainly for tests)."""
-        intra = tuple(SparseSym.from_dense(a) for a in layers)
-        L = len(intra)
-        coupling = all_to_all_coupling(L) if coupling is None else coupling
-        return cls(intra[0].n, L, intra, coupling, omega)
 
 
 def all_to_all_coupling(L):
@@ -513,22 +490,6 @@ def _write_rows(fh, fmt, *cols):
     for start in range(0, len(cols[0]), 1 << 16):
         block = [c[start : start + (1 << 16)].tolist() for c in cols]
         fh.write(fmt * len(block[0]) % tuple(itertools.chain.from_iterable(zip(*block))))
-
-
-def save_network(net, path):
-    """Write a network in canonical form (upper-triangle edges, sorted)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"#multiplex n={net.n} L={net.L}\n")
-        for l, a in enumerate(net.intra, start=1):
-            keep = a.rows <= a.cols
-            _write_rows(fh, f"{l}\t%d\t%d\t%.12g\n", a.rows[keep] + 1, a.cols[keep] + 1, a.data[keep])
-
-
-def save_coupling(net, path):
-    """Write the layer-coupling matrix (upper-triangle entries)."""
-    k, l = np.nonzero(np.triu(net.coupling, 1))
-    with open(path, "w", encoding="utf-8") as fh:
-        _write_rows(fh, "%d\t%d\t%.12g\n", k + 1, l + 1, net.coupling[k, l])
 
 
 def _check_complete(assignment, n, where, path):

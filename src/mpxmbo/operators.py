@@ -2,9 +2,17 @@
 
 All operators act on vectors of length nL indexed layer-major: entry
 (l-1)*n + j is node j in layer l.  None of them assemble an nL x nL
-matrix; layer blocks use the sparse intra-layer matvec and the coupling
-part reshapes to (L, n) and multiplies by the small L x L coupling
-matrix.
+matrix.  Each matvec is one per-layer pass: the sparse intra-layer
+product A_l x_l, then the omega-scaled coupling (the vector reshaped to
+(L, n) times the small L x L coupling matrix), then the per-layer
+rank-one term along the intra-layer degree vector d_l with strength s_l:
+
+    modularity      Ax - (gamma_l / s_l) <d_l, x_l> d_l
+    shifted_neg_lk  sigma x - (d o x - Ax) - (2 gamma_l / s_l) <d_l, x_l> d_l
+
+with Ax = A_l x_l + omega * (C @ X), d the supra degrees, each
+expression evaluated left to right and <d_l, x_l> one einsum over the
+layers.  A test pins these bits.
 """
 
 from __future__ import annotations
@@ -13,14 +21,7 @@ import numpy as np
 
 from .network import gamma_vector
 
-__all__ = [
-    "LinearOperator",
-    "supra_adjacency_op",
-    "supra_laplacian_op",
-    "balance_op",
-    "modularity_op",
-    "shifted_neg_lk_op",
-]
+__all__ = ["LinearOperator", "modularity_op", "shifted_neg_lk_op"]
 
 
 class LinearOperator:
@@ -52,60 +53,23 @@ class LinearOperator:
         return self.apply(np.eye(self.dim))
 
 
-def supra_adjacency_op(net):
-    """blkdiag of the intra-layer matrices plus omega-scaled coupling.
-
-    The coupling contributes omega * C[k, l] between copies of the same
-    physical node in layers k and l.
-    """
-    n, L, omega = net.n, net.L, net.omega
-    coupling = net.coupling
-    intra = net.intra
-
-    def mv(x):
-        xl = x.reshape(L, n)
-        y = np.empty_like(x)
-        yl = y.reshape(L, n)
-        for l in range(L):
-            yl[l] = intra[l].matvec(xl[l])
-        if omega != 0.0 and L > 1:
-            yl += omega * (coupling @ xl)
-        return y
-
-    return LinearOperator(n * L, mv, "supra_adjacency")
+def _adjacency(net, xl):
+    """Supra-adjacency times x, as (L, n) arrays: blkdiag(A_l) plus the
+    coupling, omega * C[k, l] between copies of a node in layers k and l."""
+    yl = np.empty_like(xl)
+    for l, a in enumerate(net.intra):
+        yl[l] = a.matvec(xl[l])
+    if net.omega != 0.0 and net.L > 1:
+        yl += net.omega * (net.coupling @ xl)
+    return yl
 
 
-def supra_laplacian_op(net, deg):
-    """diag(supra degrees) minus the supra-adjacency."""
-    adj = supra_adjacency_op(net)
-    d = deg.supra_degrees
-
-    def mv(x):
-        return d * x - adj.apply(x)
-
-    return LinearOperator(net.nL, mv, "supra_laplacian")
-
-
-def balance_op(deg, gamma):
-    """Block-diagonal rank-one balance terms (gamma_l / m_l) d_l d_l^T.
-
-    Layers with zero strength contribute nothing.  With m_l denoting half
-    the layer strength, the coefficient is 2 * gamma_l / strength_l.
-    """
-    L, n = deg.intra_degrees.shape
-    gamma = gamma_vector(gamma, L)
-    coef = np.zeros(L)
+def _rank_one_coef(deg, gamma, scale):
+    """Per-layer scale * gamma_l / strength_l; 0 on layers of zero strength."""
+    coef = np.zeros(gamma.size)
     nz = deg.layer_strengths > 0
-    coef[nz] = 2.0 * gamma[nz] / deg.layer_strengths[nz]
-    dl = deg.intra_degrees
-
-    def mv(x):
-        xl = x.reshape(L, n)
-        inner = np.einsum("ln,ln->l", dl, xl)
-        y = (coef * inner)[:, None] * dl
-        return y.reshape(-1)
-
-    return LinearOperator(n * L, mv, "balance")
+    coef[nz] = scale * gamma[nz] / deg.layer_strengths[nz]
+    return coef
 
 
 def modularity_op(net, deg, gamma):
@@ -116,20 +80,14 @@ def modularity_op(net, deg, gamma):
     supra-adjacency there.
     """
     L, n = net.L, net.n
-    gamma = gamma_vector(gamma, L)
-    adj = supra_adjacency_op(net)
-    coef = np.zeros(L)
-    nz = deg.layer_strengths > 0
-    coef[nz] = gamma[nz] / deg.layer_strengths[nz]
+    coef = _rank_one_coef(deg, gamma_vector(gamma, L), 1.0)
     dl = deg.intra_degrees
 
     def mv(x):
-        y = adj.apply(x)
         xl = x.reshape(L, n)
-        yl = y.reshape(L, n)
-        inner = np.einsum("ln,ln->l", dl, xl)
-        yl -= (coef * inner)[:, None] * dl
-        return y
+        yl = _adjacency(net, xl)
+        yl -= (coef * np.einsum("ln,ln->l", dl, xl))[:, None] * dl
+        return yl.reshape(-1)
 
     return LinearOperator(net.nL, mv, "modularity")
 
@@ -137,6 +95,9 @@ def modularity_op(net, deg, gamma):
 def shifted_neg_lk_op(net, deg, gamma):
     """Return (sigma*I - (Laplacian + balance), sigma) with sigma >= lambda_max.
 
+    The Laplacian is diag(supra degrees) minus the supra-adjacency; the
+    balance term is block-diagonal, (gamma_l / m_l) d_l d_l^T with m_l
+    half the layer strength, and nothing on layers of zero strength.
     The shift is the largest row-sum bound over the supra rows,
     2 * supra_degree + 2 * gamma_l * intra_degree, which dominates the
     spectrum of Laplacian + balance; the shifted operator is therefore
@@ -145,12 +106,18 @@ def shifted_neg_lk_op(net, deg, gamma):
     """
     L, n = net.L, net.n
     gamma = gamma_vector(gamma, L)
-    lap = supra_laplacian_op(net, deg)
-    bal = balance_op(deg, gamma)
-    bound = 2.0 * deg.supra_degrees + 2.0 * np.repeat(gamma, n) * deg.intra_degrees.ravel()
-    sigma = float(bound.max())
+    coef = _rank_one_coef(deg, gamma, 2.0)
+    dl = deg.intra_degrees
+    supra = deg.supra_degrees.reshape(L, n)
+    sigma = float((2.0 * supra + 2.0 * gamma[:, None] * dl).max())
 
     def mv(x):
-        return sigma * x - lap.apply(x) - bal.apply(x)
+        xl = x.reshape(L, n)
+        lap = supra * xl
+        lap -= _adjacency(net, xl)
+        yl = sigma * xl
+        yl -= lap
+        yl -= (coef * np.einsum("ln,ln->l", dl, xl))[:, None] * dl
+        return yl.reshape(-1)
 
     return LinearOperator(net.nL, mv, "shifted_neg_lk"), sigma

@@ -1,8 +1,9 @@
-"""Shared fixtures and independent dense reference builders.
+"""Shared fixtures, test-only builders and independent dense references.
 
 The dense builders assemble supra matrices directly from definitions with
 plain numpy, so operator/eigensolver tests compare against arithmetic
-that shares no code with the package internals.
+that shares no code with the package internals.  The network builders
+and writers (dense layers in, canonical files out) serve tests only.
 """
 
 from pathlib import Path
@@ -10,9 +11,56 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpxmbo import MultiplexNetwork, Partition, compute_degrees, load_network
+from mpxmbo import (
+    MultiplexNetwork,
+    Partition,
+    SparseSym,
+    all_to_all_coupling,
+    compute_degrees,
+    load_network,
+)
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+
+
+# ------------------------------------------------------ builders and writers
+
+
+def sparse_from_dense(a):
+    """SparseSym of an exactly symmetric square matrix; from_coo checks the
+    weights (finite, non-negative)."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or not np.array_equal(a, a.T):
+        raise ValueError("square, exactly symmetric matrix required")
+    rows, cols = np.nonzero(a)
+    return SparseSym.from_coo(a.shape[0], rows, cols, a[rows, cols])
+
+
+def from_dense_layers(layers, coupling=None, omega=1.0):
+    """Network of dense per-layer adjacency matrices; all-to-all coupling
+    unless one is given."""
+    intra = tuple(sparse_from_dense(a) for a in layers)
+    L = len(intra)
+    coupling = all_to_all_coupling(L) if coupling is None else coupling
+    return MultiplexNetwork(intra[0].n, L, intra, coupling, omega)
+
+
+def save_network(net, path):
+    """Write a network in canonical form (upper-triangle edges, sorted)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"#multiplex n={net.n} L={net.L}\n")
+        for l, a in enumerate(net.intra, start=1):
+            for i, j, w in zip(a.rows.tolist(), a.cols.tolist(), a.data.tolist()):
+                if i <= j:
+                    fh.write(f"{l}\t{i + 1}\t{j + 1}\t{w:.12g}\n")
+
+
+def save_coupling(net, path):
+    """Write the layer-coupling matrix (upper-triangle entries)."""
+    k, l = np.nonzero(np.triu(net.coupling, 1))
+    with open(path, "w", encoding="utf-8") as fh:
+        for a, b in zip(k.tolist(), l.tolist()):
+            fh.write(f"{a + 1}\t{b + 1}\t{net.coupling[a, b]:.12g}\n")
 
 
 # ---------------------------------------------------------------- dense refs
@@ -101,7 +149,7 @@ def random_network(rng, n_max=20, l_max=3, omega_choices=(0.0, 0.5, 1.0), densit
     if all(layer.sum() == 0.0 for layer in layers):
         layers[0][0, 1] = layers[0][1, 0] = 1.0
     omega = float(rng.choice(omega_choices)) if L > 1 else float(rng.choice((0.0, 1.0)))
-    return MultiplexNetwork.from_dense_layers(layers, coupling=None, omega=omega)
+    return from_dense_layers(layers, coupling=None, omega=omega)
 
 
 def connected_network(rng, n, L, omega=1.0):
@@ -117,7 +165,7 @@ def connected_network(rng, n, L, omega=1.0):
         mask = rng.random(iu.size) < 0.25
         a[iu[mask], ju[mask]] += np.round(rng.random(mask.sum()) * 2.0 + 0.5, 3)
         layers.append(np.triu(a, 1) + np.triu(a, 1).T)
-    return MultiplexNetwork.from_dense_layers(layers, coupling=None, omega=omega)
+    return from_dense_layers(layers, coupling=None, omega=omega)
 
 
 def planted_network(rng, n, L, groups, mean_degree=8, mix=0.2, omega=1.0):
@@ -136,7 +184,7 @@ def planted_network(rng, n, L, groups, mean_degree=8, mix=0.2, omega=1.0):
         a = np.maximum(a, a.T)
         np.fill_diagonal(a, 0.0)
         layers.append(a)
-    return MultiplexNetwork.from_dense_layers(layers, coupling=None, omega=omega)
+    return from_dense_layers(layers, coupling=None, omega=omega)
 
 
 def isolate_node(net, node):
@@ -147,7 +195,7 @@ def isolate_node(net, node):
         a[node, :] = 0.0
         a[:, node] = 0.0
         layers.append(a)
-    return MultiplexNetwork.from_dense_layers(layers, coupling=net.coupling, omega=net.omega)
+    return from_dense_layers(layers, coupling=net.coupling, omega=net.omega)
 
 
 def random_gamma(rng, L):

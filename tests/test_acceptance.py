@@ -10,7 +10,6 @@ from mpxmbo import (
     DetectConfig,
     Partition,
     SpectralBasis,
-    balance_op,
     balanced_tv_objective,
     cli,
     compute_degrees,
@@ -25,7 +24,6 @@ from mpxmbo import (
     oracle_max_modularity,
     diffusion_step,
     shifted_neg_lk_op,
-    supra_laplacian_op,
 )
 
 from conftest import (
@@ -149,16 +147,14 @@ def test_criterion_4_spectral_correctness(announce):
         worst_eig = max(worst_eig, e1, e2)
         worst_sub = max(worst_sub, s1, s2)
 
-        lk = (supra_laplacian_op(net, deg).to_dense()
-              + balance_op(deg, gamma).to_dense())
+        lk = sigma * np.eye(net.nL) - op_s.to_dense()  # Laplacian + balance
         lam_min = float(np.linalg.eigvalsh(lk)[0])
         min_ratio = min(min_ratio, lam_min / sigma)
         assert lam_min > 1e-8 * sigma  # connected, no fully isolated node
         lonely = isolate_node(net, node=int(rng.integers(0, n)))
         deg_l = compute_degrees(lonely)
-        gap = (supra_laplacian_op(lonely, deg_l).to_dense()
-               + balance_op(deg_l, gamma).to_dense())
-        _, sigma_l = shifted_neg_lk_op(lonely, deg_l, gamma)
+        op_l, sigma_l = shifted_neg_lk_op(lonely, deg_l, gamma)
+        gap = sigma_l * np.eye(net.nL) - op_l.to_dense()
         lam_min_planted = float(np.linalg.eigvalsh(gap)[0])
         assert abs(lam_min_planted) <= 1e-10 * sigma_l
         min_ratio = min(min_ratio, lam_min_planted / sigma_l)

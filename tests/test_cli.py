@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpxmbo import cli, load_network, save_network
+from mpxmbo import cli, load_network
 
-from conftest import planted_network
+from conftest import planted_network, save_network
 
 FLORENTINE = "data/florentine.mpx"
 TRIANGLES = "data/two_triangles.mpx"
@@ -512,6 +512,26 @@ def test_grid_bad_range(capsys):
     )
     assert rc == 2
     assert "usage error" in err
+
+
+@pytest.mark.parametrize(
+    "nc_range,k_range,message",
+    [
+        ("33:35", "3:3", "n_c cannot exceed the number of node-layer pairs"),
+        ("1:2", "3:3", "n_c must be >= 2"),
+        ("2:3", "0:3", "k must be >= 1"),
+    ],
+)
+def test_grid_bad_cell_fails_before_the_solve(capsys, tmp_path, nc_range, k_range, message):
+    # Florentine has nL = 34; no row is printed and no file written
+    out = tmp_path / "grid.tsv"
+    rc, stdout, err = run_cli(
+        capsys,
+        "grid", "--input", FLORENTINE, "--method", "dgfm3", "--nc-range", nc_range,
+        "--k-range", k_range, "--runs", "2", "--out", str(out),
+    )
+    assert (rc, stdout, err) == (1, "", f"error: {message}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])

@@ -6,7 +6,6 @@ import pytest
 from mpxmbo import (
     ConvergenceError,
     LinearOperator,
-    MultiplexNetwork,
     SpectralBasis,
     basis_for_method,
     compute_degrees,
@@ -22,6 +21,7 @@ from conftest import (
     dense_balance,
     dense_laplacian,
     dense_modularity,
+    from_dense_layers,
     planted_network,
     random_gamma,
     random_network,
@@ -105,7 +105,7 @@ def test_identical_layers_mpbtv_all_copies_found(seed):
     layer = np.zeros((n, n))
     layer[e[:, 0], e[:, 1]] = 1.0
     layer = np.maximum(layer, layer.T)
-    net = MultiplexNetwork.from_dense_layers([layer, layer.copy()], coupling=None, omega=0.0)
+    net = from_dense_layers([layer, layer.copy()], coupling=None, omega=0.0)
     deg = compute_degrees(net)
     basis = basis_for_method("mpbtv", net, deg, 1.0, 6)
     lk = dense_laplacian(net) + dense_balance(net, np.array([1.0, 1.0]))

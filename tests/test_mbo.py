@@ -9,7 +9,6 @@ import scipy.linalg
 
 from mpxmbo import (
     DetectConfig,
-    MultiplexNetwork,
     Partition,
     SpectralBasis,
     basis_for_method,
@@ -29,6 +28,7 @@ from mpxmbo.mbo import run_rng
 from conftest import (
     connected_network,
     florentine_best_assignment,
+    from_dense_layers,
     planted_network,
     random_network,
 )
@@ -346,7 +346,7 @@ def test_dgfm3_large_weights_do_not_overflow():
     a = np.zeros((6, 6))
     for u, v in ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)):
         a[u, v] = a[v, u] = 600.0
-    net = MultiplexNetwork.from_dense_layers([a, a], omega=1.0)
+    net = from_dense_layers([a, a], omega=1.0)
     deg = compute_degrees(net)
     out = detect(net, deg, DetectConfig(method="dgfm3", n_c=2, k=3, n_runs=5, seed=1))
     assert out.basis.eigenvalues[0] > np.log(np.finfo(float).max)

@@ -8,7 +8,6 @@ import pytest
 
 from mpxmbo import (
     DetectConfig,
-    MultiplexNetwork,
     Partition,
     balanced_tv_objective,
     compute_degrees,
@@ -25,6 +24,7 @@ from mpxmbo import _kernels
 from conftest import (
     dense_modularity_value,
     florentine_best_assignment,
+    from_dense_layers,
     random_gamma,
     random_network,
     random_partition,
@@ -68,7 +68,7 @@ def test_florentine_reference_values(florentine):
 
 
 def test_single_pair_network_literal_formula():
-    net = MultiplexNetwork.from_dense_layers([np.array([[2.0]])], omega=0.0)
+    net = from_dense_layers([np.array([[2.0]])], omega=0.0)
     deg = compute_degrees(net)
     gamma = 1.7
     # one node, one layer: Q = (A11 - gamma d^2 / 2m) / 2mu with d = 2m = A11
@@ -109,7 +109,7 @@ def test_modularity_relabel_invariant(florentine):
 
 
 def test_modularity_zero_strength_error():
-    net = MultiplexNetwork.from_dense_layers([np.zeros((2, 2))], omega=0.0)
+    net = from_dense_layers([np.zeros((2, 2))], omega=0.0)
     deg = compute_degrees(net)
     with pytest.raises(ValueError, match="total strength"):
         multiplex_modularity(P([1, 1]), net, deg, 1.0)
@@ -283,7 +283,7 @@ def test_oracle_single_community_shortcut(two_triangles):
 
 
 def test_oracle_degenerate_and_oversized():
-    empty = MultiplexNetwork.from_dense_layers([np.zeros((2, 2))], omega=0.0)
+    empty = from_dense_layers([np.zeros((2, 2))], omega=0.0)
     with pytest.raises(ValueError, match="strength"):
         oracle_max_modularity(empty, compute_degrees(empty), 1.0, 2)
     rng = np.random.default_rng(66)

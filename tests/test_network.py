@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from mpxmbo import (
-    MultiplexNetwork,
     NetworkFormatError,
     Partition,
     SparseSym,
@@ -18,13 +17,11 @@ from mpxmbo import (
     load_labels,
     load_network,
     load_partition,
-    save_network,
     save_partition,
 )
-from mpxmbo.network import save_coupling
 from mpxmbo import _kernels
 
-from conftest import dense_supra, random_network
+from conftest import dense_supra, from_dense_layers, random_network, save_coupling, save_network
 
 
 def write(tmp_path, name, text):
@@ -75,7 +72,7 @@ def test_intra_matrices_exactly_symmetric():
 def test_compute_degrees_worked_example():
     # L=2, n=2, layer 1 edge (1,2), layer 2 empty, all-to-all coupling
     layers = [np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros((2, 2))]
-    net = MultiplexNetwork.from_dense_layers(layers, omega=1.0)
+    net = from_dense_layers(layers, omega=1.0)
     deg = compute_degrees(net)
     assert deg.supra_degrees.tolist() == [2.0, 2.0, 1.0, 1.0]
     assert deg.layer_strengths.tolist() == [2.0, 0.0]
@@ -120,7 +117,7 @@ def test_total_strength_identity_exact_on_integer_weights():
             mask = rng.random(iu.size) < 0.4
             a[iu[mask], ju[mask]] = rng.integers(1, 5, size=mask.sum())
             layers.append(a + a.T)
-        net = MultiplexNetwork.from_dense_layers(layers, omega=1.0)
+        net = from_dense_layers(layers, omega=1.0)
         deg = compute_degrees(net)
         expected = sum(layer.sum() for layer in layers) + 1.0 * n * net.coupling.sum()
         assert deg.total_strength == expected
@@ -151,7 +148,7 @@ def test_coupling_file_round_trip(tmp_path):
     coupling = np.array([[0.0, 2.0, 0.5], [2.0, 0.0, 1.0], [0.5, 1.0, 0.0]])
     layers = [np.zeros((2, 2))] * 3
     layers[0] = np.array([[0.0, 1.0], [1.0, 0.0]])
-    net = MultiplexNetwork.from_dense_layers(layers, coupling=coupling, omega=0.5)
+    net = from_dense_layers(layers, coupling=coupling, omega=0.5)
     npath, cpath = tmp_path / "n.mpx", tmp_path / "c.tsv"
     save_network(net, npath)
     save_coupling(net, cpath)

@@ -1,4 +1,11 @@
-"""Matrix-free operators against directly assembled dense references."""
+"""Matrix-free operators against directly assembled dense references.
+
+The package exposes two operators, and the supra-adjacency A, Laplacian
+L and balance K are checked through them.  The modularity operator is
+M(gamma) = A - K(gamma)/2 with K linear in gamma, so
+A = 2 M(gamma) - M(2 gamma) and K(gamma) = 2 (M(gamma) - M(2 gamma));
+the shifted operator S gives L + K = sigma*I - S, so L = (L + K) - K.
+"""
 
 import numpy as np
 import pytest
@@ -6,12 +13,10 @@ import pytest
 from mpxmbo import (
     LinearOperator,
     MultiplexNetwork,
+    SparseSym,
     compute_degrees,
-    balance_op,
     modularity_op,
     shifted_neg_lk_op,
-    supra_adjacency_op,
-    supra_laplacian_op,
 )
 
 from conftest import (
@@ -21,15 +26,42 @@ from conftest import (
     dense_modularity,
     dense_sigma,
     dense_supra,
+    from_dense_layers,
     isolate_node,
+    planted_network,
     random_gamma,
     random_network,
 )
 
 
+def lk_part(net, deg, gamma):
+    """Laplacian + balance: sigma*I minus the shifted operator."""
+    op, sigma = shifted_neg_lk_op(net, deg, gamma)
+    return LinearOperator(net.nL, lambda x: sigma * x - op.apply(x), "lk")
+
+
+def balance_part(net, deg, gamma):
+    """K(gamma) = 2 (M(gamma) - M(2 gamma))."""
+    m1 = modularity_op(net, deg, gamma)
+    m2 = modularity_op(net, deg, 2.0 * np.asarray(gamma))
+    return LinearOperator(net.nL, lambda x: 2.0 * (m1.apply(x) - m2.apply(x)), "balance")
+
+
+def adjacency_part(net, deg):
+    """A = 2 M(1) - M(2)."""
+    m1, m2 = modularity_op(net, deg, 1.0), modularity_op(net, deg, 2.0)
+    return LinearOperator(net.nL, lambda x: 2.0 * m1.apply(x) - m2.apply(x), "adjacency")
+
+
+def laplacian_part(net, deg):
+    """L = (L + K(1)) - K(1)."""
+    lk, k = lk_part(net, deg, 1.0), balance_part(net, deg, 1.0)
+    return LinearOperator(net.nL, lambda x: lk.apply(x) - k.apply(x), "laplacian")
+
+
 def two_layer_example():
     layers = [np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros((2, 2))]
-    return MultiplexNetwork.from_dense_layers(layers, omega=1.0)
+    return from_dense_layers(layers, omega=1.0)
 
 
 def lk_dense(net, gamma):
@@ -44,9 +76,9 @@ def test_dense_reconstruction_matches_definitions():
         gamma = random_gamma(rng, net.L)
         eye = np.eye(net.nL)
         pairs = [
-            (supra_adjacency_op(net), dense_supra(net)),
-            (supra_laplacian_op(net, deg), dense_laplacian(net)),
-            (balance_op(deg, gamma), dense_balance(net, gamma)),
+            (adjacency_part(net, deg), dense_supra(net)),
+            (laplacian_part(net, deg), dense_laplacian(net)),
+            (balance_part(net, deg, gamma), dense_balance(net, gamma)),
             (modularity_op(net, deg, gamma), dense_modularity(net, gamma)),
         ]
         op_s, sigma = shifted_neg_lk_op(net, deg, gamma)
@@ -64,9 +96,9 @@ def test_operators_linear_and_symmetric():
         deg = compute_degrees(net)
         gamma = random_gamma(rng, net.L)
         ops = [
-            supra_adjacency_op(net),
-            supra_laplacian_op(net, deg),
-            balance_op(deg, gamma),
+            adjacency_part(net, deg),
+            laplacian_part(net, deg),
+            balance_part(net, deg, gamma),
             modularity_op(net, deg, gamma),
             shifted_neg_lk_op(net, deg, gamma)[0],
         ]
@@ -79,10 +111,54 @@ def test_operators_linear_and_symmetric():
             assert abs(x @ op.apply(y) - y @ op.apply(x)) <= 1e-9, op.label
 
 
+def reference_matvecs(net, deg, gamma, x):
+    """Both operators on one vector, in the order operators.py documents:
+    A_l x_l, plus omega * (C @ X), then the rank-one term along d_l with
+    <d_l, x_l> from the same einsum."""
+    L, n = net.L, net.n
+    # apply() makes its operand contiguous; einsum's bits depend on strides
+    x = np.ascontiguousarray(x)
+    xl = x.reshape(L, n)
+    dl, strength = deg.intra_degrees, deg.layer_strengths
+    ax = np.stack([a.matvec(xl[l]) for l, a in enumerate(net.intra)])
+    ax = ax + net.omega * (net.coupling @ xl)
+    inner = np.einsum("ln,ln->l", dl, xl)
+    safe = np.where(strength > 0, strength, 1.0)
+    coef_m = np.where(strength > 0, gamma / safe, 0.0)
+    coef_k = np.where(strength > 0, 2.0 * gamma / safe, 0.0)
+    mod = ax - (coef_m * inner)[:, None] * dl
+    sigma = float((2.0 * deg.supra_degrees + 2.0 * np.repeat(gamma, n) * dl.ravel()).max())
+    lap = deg.supra_degrees * x - ax.ravel()
+    shifted = sigma * x - lap - ((coef_k * inner)[:, None] * dl).ravel()
+    return mod.ravel(), shifted, sigma
+
+
+def test_operator_arithmetic_is_pinned():
+    # L = 4, a chain coupling with unequal weights, per-layer gamma and a
+    # layer without edges (its rank-one coefficient is 0, not 0/0)
+    base = planted_network(np.random.default_rng(32), 60, 3, 3)
+    empty = SparseSym.from_coo(base.n, [], [], [])
+    coupling = np.diag([1.0, 0.5, 2.0], 1)
+    net = MultiplexNetwork(base.n, 4, base.intra + (empty,), coupling + coupling.T, 2.5)
+    deg = compute_degrees(net)
+    gamma = np.array([0.7, 1.0, 1.3, 0.9])
+    assert deg.layer_strengths[3] == 0.0
+    x = np.random.default_rng(33).standard_normal((net.nL, 4))
+    mod_op = modularity_op(net, deg, gamma)
+    shift_op, sigma = shifted_neg_lk_op(net, deg, gamma)
+    refs = [reference_matvecs(net, deg, gamma, x[:, j]) for j in range(x.shape[1])]
+    assert sigma == refs[0][2]
+    for op, i in ((mod_op, 0), (shift_op, 1)):
+        ones = [op.apply(x[:, j]) for j in range(x.shape[1])]
+        for got, ref in zip(ones, refs):
+            assert np.array_equal(got, ref[i]), op.label
+        assert np.array_equal(op.apply(x), np.stack(ones, axis=1)), op.label
+
+
 def test_adjacency_blockdiag_when_uncoupled():
     rng = np.random.default_rng(23)
     net = random_network(rng, omega_choices=(0.0,))
-    op = supra_adjacency_op(net)
+    op = adjacency_part(net, compute_degrees(net))
     x = rng.standard_normal(net.nL)
     per_layer = np.concatenate(
         [net.intra[l].toarray() @ x[l * net.n : (l + 1) * net.n] for l in range(net.L)]
@@ -95,13 +171,13 @@ def test_adjacency_times_ones_is_supra_degrees():
     for _ in range(5):
         net = random_network(rng)
         deg = compute_degrees(net)
-        got = supra_adjacency_op(net).apply(np.ones(net.nL))
+        got = adjacency_part(net, deg).apply(np.ones(net.nL))
         assert np.allclose(got, deg.supra_degrees, atol=1e-12)
 
 
 def test_adjacency_worked_example():
     net = two_layer_example()
-    got = supra_adjacency_op(net).apply(np.array([1.0, 0.0, 0.0, 0.0]))
+    got = adjacency_part(net, compute_degrees(net)).apply(np.array([1.0, 0.0, 0.0, 0.0]))
     assert got.tolist() == [0.0, 1.0, 1.0, 0.0]
 
 
@@ -109,7 +185,7 @@ def test_laplacian_annihilates_constants_and_is_psd():
     rng = np.random.default_rng(25)
     net = random_network(rng)
     deg = compute_degrees(net)
-    op = supra_laplacian_op(net, deg)
+    op = laplacian_part(net, deg)
     z = op.apply(np.ones(net.nL))
     assert np.abs(z).max() <= 1e-12 * max(deg.supra_degrees.max(), 1.0)
     for _ in range(1000):
@@ -120,7 +196,7 @@ def test_laplacian_annihilates_constants_and_is_psd():
 def test_laplacian_worked_example():
     net = two_layer_example()
     deg = compute_degrees(net)
-    got = supra_laplacian_op(net, deg).apply(np.array([1.0, -1.0, 0.0, 0.0]))
+    got = laplacian_part(net, deg).apply(np.array([1.0, -1.0, 0.0, 0.0]))
     ref = dense_laplacian(net) @ np.array([1.0, -1.0, 0.0, 0.0])
     assert np.allclose(got, ref, atol=1e-12)
 
@@ -130,7 +206,7 @@ def test_balance_rank1_structure():
     net = random_network(rng, omega_choices=(1.0,))
     deg = compute_degrees(net)
     gamma = random_gamma(rng, net.L)
-    op = balance_op(deg, gamma)
+    op = balance_part(net, deg, gamma)
     # blockwise orthogonal to the degree vectors -> in the null space
     x = rng.standard_normal(net.nL)
     for l in range(net.L):
@@ -156,9 +232,9 @@ def test_balance_rank1_structure():
 
 
 def test_balance_worked_example():
-    net = MultiplexNetwork.from_dense_layers([np.array([[0.0, 1.0], [1.0, 0.0]])], omega=0.0)
+    net = from_dense_layers([np.array([[0.0, 1.0], [1.0, 0.0]])], omega=0.0)
     deg = compute_degrees(net)
-    op = balance_op(deg, np.array([1.0]))
+    op = balance_part(net, deg, np.array([1.0]))
     kd = op.apply(np.eye(2))
     assert np.allclose(kd, np.ones((2, 2)), atol=1e-12)
     assert np.allclose(op.apply(np.array([1.0, 0.0])), np.array([1.0, 1.0]), atol=1e-12)
@@ -204,7 +280,7 @@ def test_shifted_pure_laplacian_top_eigenvalue_is_sigma():
     rng = np.random.default_rng(29)
     net = random_network(rng, omega_choices=(1.0,))
     deg = compute_degrees(net)
-    lap = supra_laplacian_op(net, deg)
+    lap = laplacian_part(net, deg)
     sigma = 2.0 * deg.supra_degrees.max()
     shifted = LinearOperator(net.nL, lambda x: sigma * x - lap.apply(x), "shifted_pure_l")
     vals = np.linalg.eigvalsh(shifted.apply(np.eye(net.nL)))
@@ -233,6 +309,6 @@ def test_operator_dimension_mismatch_rejected():
     rng = np.random.default_rng(31)
     net = random_network(rng)
     deg = compute_degrees(net)
-    op = supra_adjacency_op(net)
-    with pytest.raises(ValueError):
-        op.apply(np.zeros(net.nL + 1))
+    for op in (modularity_op(net, deg, 1.0), shifted_neg_lk_op(net, deg, 1.0)[0]):
+        with pytest.raises(ValueError):
+            op.apply(np.zeros(net.nL + 1))

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 runtime or data errors, 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import os
 import sys
@@ -129,6 +130,13 @@ def _load(args):
     # detect and grid pass --threads to mbo.detect; reject it before any work
     if getattr(args, "threads", 1) < 1:
         raise ValueError("threads must be >= 1")
+    # an output that cannot be written fails here, with the error opening it
+    # would raise after the solve; nothing is created
+    for path in filter(None, [getattr(args, "out", None), getattr(args, "basis_cache", None)]):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     net = load_network(args.input, args.coupling, args.omega)
     gamma = gamma_vector(args.gamma, net.L)
     return net, compute_degrees(net), gamma

@@ -8,13 +8,15 @@ row ``(l-1)*n + (j-1)`` of every length-``n*L`` vector.
 
 File formats
 ------------
-All files are UTF-8 text with whitespace-separated fields; blank lines are
-skipped, a line starting with ``#`` is a comment (a later ``#`` belongs to
-a field), ids read as ``int`` reads them and weights as ``float`` does.
+All files are plain UTF-8 text whatever their suffix, with whitespace-
+separated fields; blank lines are skipped, a line starting with ``#`` is a
+comment (a later ``#`` belongs to a field), ids read as ``int`` reads them
+and weights as ``float`` does.  numpy's C reader parses each file and skips
+comment lines anywhere at no extra cost, a pipe line by line from memory;
+``1_0``-style tokens or a ``#`` inside a field take a Python tokenizer.
 
 Network file:
     * header line ``#multiplex n=<n> L=<L>`` before any edge line,
-    * other lines starting with ``#`` are comments,
     * edge lines ``layer <TAB> u <TAB> v [<TAB> weight]`` (weight defaults
       to 1.0); each line contributes to both triangles, duplicate lines are
       summed, ``u == v`` stores a self-loop once.
@@ -101,12 +103,13 @@ class SparseSym:
             raise ValueError("non-finite weight")
         if data.min() < 0:
             raise ValueError("negative weight")
-        # Each order is the stable one, so the (i, j) and (j, i) duplicate
-        # groups sum in input order -> exact symmetry.  rows * n + cols orders
-        # as (rows, cols); appending the input position makes the keys unique,
-        # so the default sort is stable.  Past int64, sort stably or lexsort.
+        # Each order is the stable one, so the (i, j) and (j, i) duplicate groups
+        # sum in input order -> exact symmetry.  rows * n + cols orders as (rows,
+        # cols); with the input position appended, the sorted keys' remainders
+        # are the stable order (faster than argsort).  Past int64, sort stably or lexsort.
         if n * n <= (2**63 - 1) // nnz:
-            order = np.argsort((rows * n + cols) * nnz + np.arange(nnz))
+            keys = np.sort((rows * n + cols) * nnz + np.arange(nnz))
+            order = keys - keys // nnz * nnz
         elif n <= 3037000499:  # floor(sqrt(2**63))
             order = np.argsort(rows * n + cols, kind="stable")
         else:
@@ -323,44 +326,68 @@ class _Rows:
 
 @contextlib.contextmanager
 def _read_rows(path, kinds, what, expected, mixed=None):
-    """`_parse_rows` of a file: a regular file is streamed, others are copied once."""
+    """The rows of a file by `_loadtxt`, else `_tokenize`: streamed if regular, else copied once."""
+    name = None
     if os.path.isfile(path):
         text = open(path, encoding="utf-8")
+        # loadtxt reads a named file in C chunks, but decompresses these and fetches URL-like names
+        if os.path.splitext(path)[1] not in (".gz", ".bz2", ".xz", ".lzma"):
+            name = os.path.join(os.getcwd(), path)
     else:
         with open(path, "rb") as fh:
             text = io.TextIOWrapper(io.BytesIO(fh.read()), encoding="utf-8")
     with text:
-        yield _parse_rows(text, path, kinds, what, expected, mixed)
+        rows = _loadtxt(text, path, name, kinds)
+        yield rows or _tokenize(text, path, kinds, what, expected, mixed)
 
 
-def _parse_rows(text, path, kinds, what, expected, mixed):
-    """Read the data lines of a whitespace-separated file as typed columns.
+def _comments(text):
+    """The (line, text) of the ``#`` lines of ``text``, read from its start in
+    blocks of whole lines; None if a ``#`` follows a field of its line."""
+    text.seek(0)
+    found, no = [], 0
+    while block := text.read(1 << 16):
+        block, last = block + text.readline(), 0
+        for m in re.finditer("#.*", block):
+            start = block.rfind("\n", 0, m.start()) + 1
+            if block[start : m.start()].strip():
+                return None
+            no, last = no + block.count("\n", last, start), start
+            found.append((no + 1, m.group().rstrip()))
+        # numpy counts several times faster than str.count
+        no += np.count_nonzero(np.frombuffer(block[last:].encode(), np.uint8) == 10)
+    return found
 
-    ``kinds`` maps each accepted column count to its column types (int,
-    float or str), then the values of the columns a shorter line leaves
-    out; ``mixed`` is the error for a count unlike the first line's.  Each
-    line reads as ``str.split``, ``int`` and ``float`` read it: with
-    `np.loadtxt` if it accepts the file, with Python otherwise (tokens such
-    as ``1_0``, mixed counts, comments after data, or a fault).
-    """
+
+def _loadtxt(text, path, name, kinds):
+    """`_tokenize`'s rows, read by `np.loadtxt` from the file ``name`` or else
+    ``text``; None if it refuses a line, or a ``#`` follows a field."""
     try:
-        comments, line = [], ""
-        for lineno, line in _data_lines(text):
-            if line[0] != "#":
-                break
-            comments.append((lineno, line))
+        lineno, line = next(((no, x) for no, x in _data_lines(text) if x[0] != "#"), (0, ""))
         width = len(line.split())
-        if line and line[0] != "#" and width in kinds:
+        if width in kinds and (comments := _comments(text)) is not None:
             dtype = [(f"c{j}", _DTYPES[t]) for j, t in enumerate(kinds[width][:width])]
+            text.seek(0)
             with warnings.catch_warnings():
                 # older numpy reads "1.0" in an int column, with only this warning
                 warnings.simplefilter("error", DeprecationWarning)
-                table = np.loadtxt(itertools.chain([line], text), dtype, comments=None, ndmin=1)
-            cols = [table[name] for name, _ in dtype]
+                table = np.loadtxt(name or text, dtype, comments="#", skiprows=lineno - 1,
+                                   encoding="utf-8", ndmin=1)  # fmt: skip
+            cols = [table[col] for col, _ in dtype]
             cols += [np.full(table.size, value) for value in kinds[width][width:]]
             return _Rows(text, path, cols, comments, lineno)
     except (ValueError, DeprecationWarning):
         pass  # a line loadtxt refuses, or bytes that are not UTF-8
+
+
+def _tokenize(text, path, kinds, what, expected, mixed):
+    """Read the data lines of a whitespace-separated file as typed columns.
+
+    ``kinds`` maps each accepted column count to its column types (int,
+    float or str), then the values of the columns a shorter line leaves
+    out; ``mixed`` is the error for a count unlike the first line's.  Lines
+    read as ``str.split``, ``int`` and ``float`` read them, to the first fault.
+    """
     rows, comments, first, fault = [], [], None, None
     try:
         for lineno, line in _data_lines(text):
@@ -485,13 +512,6 @@ def _load_coupling(path, L):
     return coupling
 
 
-def _write_rows(fh, fmt, *cols):
-    """Write one ``fmt`` line per row of ``cols``, one format call per block."""
-    for start in range(0, len(cols[0]), 1 << 16):
-        block = [c[start : start + (1 << 16)].tolist() for c in cols]
-        fh.write(fmt * len(block[0]) % tuple(itertools.chain.from_iterable(zip(*block))))
-
-
 def _check_complete(assignment, n, where, path):
     if not assignment.all():
         layer, node = divmod(int(assignment.argmin()), n)
@@ -573,7 +593,8 @@ def save_partition(partition, net, path):
     """
     if partition.size != net.nL:
         raise ValueError("partition size does not match network")
-    nodes = np.arange(1, net.n + 1)
     with open(path, "w", encoding="utf-8") as fh:
         for layer, com in enumerate(partition.assignment.reshape(net.L, net.n), start=1):
-            _write_rows(fh, f"%d\t{layer}\t%d\n", nodes, com)
+            rows = np.column_stack([np.arange(1, net.n + 1), com])  # one format call per block
+            for block in np.split(rows, range(1 << 16, net.n, 1 << 16)):
+                fh.write(f"%d\t{layer}\t%d\n" * len(block) % tuple(block.ravel().tolist()))

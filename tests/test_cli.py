@@ -264,6 +264,33 @@ def test_bad_truth_file_fails_before_the_solve(capsys, tmp_path):
     assert not cache.exists() and not part.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, name, message",
+    [
+        ("--basis-cache", "somedir", "[Errno 21] Is a directory"),
+        ("--out", "nodir/p.tsv", "[Errno 2] No such file or directory"),
+    ],
+)
+def test_unwritable_output_fails_before_the_solve(
+    capsys, tmp_path, monkeypatch, flag, name, message
+):
+    # a basis cache or partition that cannot be written ends detect with
+    # the error opening it gives, before the solve and before any output
+    (tmp_path / "somedir").mkdir()
+    monkeypatch.setattr(cli, "basis_for_method", lambda *a, **k: pytest.fail("solve ran"))
+    paths = {"--basis-cache": tmp_path / "basis.npz", "--out": tmp_path / "p.tsv"}
+    paths[flag] = tmp_path / name
+    rc, out, err = run_cli(
+        capsys,
+        "detect", "--input", FLORENTINE, "--method", "dgfm3", "--nc", "3", "--k", "4",
+        "--basis-cache", str(paths["--basis-cache"]), "--out", str(paths["--out"]),
+    )  # fmt: skip
+    assert (rc, out) == (1, "")
+    assert err == f"error: {message}: '{tmp_path / name}'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["somedir"]
+    assert not any((tmp_path / "somedir").iterdir())
+
+
 def test_basis_cache_path_without_npz_suffix(capsys, tmp_path):
     # the cache is written to exactly the given path, so the second run
     # finds it even without an .npz suffix

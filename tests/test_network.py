@@ -19,7 +19,7 @@ from mpxmbo import (
     load_partition,
     save_partition,
 )
-from mpxmbo import _kernels
+from mpxmbo import _kernels, network
 
 from conftest import dense_supra, from_dense_layers, random_network, save_coupling, save_network
 
@@ -369,17 +369,22 @@ FORMAT_ERRORS = [
 ]
 
 
-def load_kind(tmp_path, kind, body):
+def load_kind(tmp_path, kind, body, name="f.txt"):
     """Load `body` (written byte for byte) as a file of the given kind."""
-    path = tmp_path / "f.txt"
+    path = tmp_path / name
     path.write_bytes(body.encode("utf-8"))
+    return path, load_path(tmp_path, kind, path)
+
+
+def load_path(tmp_path, kind, path):
+    """Load the file or pipe at `path` as the given kind."""
     if kind == "network":
-        return path, load_network(path, omega=0.0)
+        return load_network(path, omega=0.0)
     if kind == "coupling":
         net = write(tmp_path, "n.mpx", "#multiplex n=2 L=3\n1\t1\t2\n")
-        return path, load_network(net, coupling_path=path)
+        return load_network(net, coupling_path=path)
     net = load_network(write(tmp_path, "n.mpx", "#multiplex n=3 L=2\n1\t1\t2\n"))
-    return path, (load_labels if kind == "labels" else load_partition)(path, net)
+    return (load_labels if kind == "labels" else load_partition)(path, net)
 
 
 @pytest.mark.parametrize(
@@ -432,6 +437,125 @@ def test_unusual_valid_files_load_like_plain_ones(tmp_path, kind, body, plain):
     _, want = load_kind(tmp_path, kind, plain)
     for a, b in zip(loaded_arrays(got), loaded_arrays(want), strict=True):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def same_arrays(got, want):
+    return all(
+        a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for a, b in zip(loaded_arrays(got), loaded_arrays(want), strict=True)
+    )
+
+
+# duplicate headers and comments after the data, behind \r\n and bare \r
+NEWLINE_ERRORS = [
+    (kind, body.replace("\n", end), line, message)
+    for end in ("\r\n", "\r")
+    for kind, body, line, message in [
+        ("network", H2 + "1\t1\t2\n\n# end\n" + H2, 5, "duplicate #multiplex header"),
+        ("network", "# a\n\n1\t1\t2\n" + H2, 3, "edge line before #multiplex header"),
+        ("network", H2 + "# c\n1\t1\t3\n# end", 3, "node id out of range 1..2"),
+        ("partition", "1\t1\t1\n# c\n\n1\t1\t2\n# end\n", 4, "conflicting labels for pair (1,1)"),
+    ]
+]
+NEWLINE_FILES = [
+    (kind, body.replace("\n", end), plain)
+    for end in ("\r\n", "\r")
+    for kind, body, plain in [
+        ("network", H2 + "1\t1\t2\t1\n\n# c\n1\t2\t2\t0.5\n# end\n",
+         H2 + "1\t1\t2\t1\n1\t2\t2\t0.5\n"),
+        ("labels", "1\ta\n# c\n2\tb\n3\ta\n# end", "1\ta\n2\tb\n3\ta\n"),
+    ]
+]
+
+
+def read_both_ways(tmp_path, pipe_path, kind, body):
+    """What loading `body` gives from a regular file and from a pipe: the
+    loaded object, or the (line, message) of its error less the path."""
+    path = tmp_path / "f.txt"
+    path.write_bytes(body.encode("utf-8"))
+    outcomes = []
+    for source in (path, pipe_path(body)):
+        try:
+            outcomes.append(load_path(tmp_path, kind, source))
+        except NetworkFormatError as err:
+            outcomes.append((err.line, str(err).replace(f"{source}: ", "", 1)))
+    return outcomes
+
+
+@pytest.mark.parametrize(
+    "kind, body, line, message",
+    FORMAT_ERRORS + NEWLINE_ERRORS,
+    ids=[f"{case[0]}-{i}" for i, case in enumerate(FORMAT_ERRORS + NEWLINE_ERRORS)],
+)
+def test_regular_file_and_pipe_fail_alike(tmp_path, pipe_path, kind, body, line, message):
+    # a regular file is parsed from its name and a pipe from memory, with
+    # the same first error
+    where = "" if line is None else f"line {line}: "
+    assert read_both_ways(tmp_path, pipe_path, kind, body) == [(line, where + message)] * 2
+
+
+@pytest.mark.parametrize(
+    "kind, body, plain",
+    EQUIVALENT_FILES + NEWLINE_FILES,
+    ids=[f"{case[0]}-{i}" for i, case in enumerate(EQUIVALENT_FILES + NEWLINE_FILES)],
+)
+def test_regular_file_and_pipe_load_alike(tmp_path, pipe_path, kind, body, plain):
+    from_file, from_pipe = read_both_ways(tmp_path, pipe_path, kind, body)
+    _, want = load_kind(tmp_path, kind, plain, "plain.txt")
+    assert same_arrays(from_file, want) and same_arrays(from_pipe, want)
+
+
+def test_comment_lines_skip_the_python_tokenizer(tmp_path, monkeypatch):
+    # np.loadtxt skips comment and blank lines anywhere, so a valid file
+    # with them loads without the Python tokenizer, to the plain file's
+    # bits; a # after a field still takes the tokenizer and its error
+    calls, tokenize = [], network._tokenize
+    monkeypatch.setattr(network, "_tokenize", lambda *args: calls.append(args) or tokenize(*args))
+    part = [f"{j}\t{l}\t{1 + (j == 3)}\n" for l in (1, 2) for j in (1, 2, 3)]
+    cases = [
+        ("network", "# lead\n" + H2 + "1\t1\t2\t2\n# a\n\n  # b\n1\t2\t2\t0.5\n\t\n# end\n",
+         H2 + "1\t1\t2\t2\n1\t2\t2\t0.5\n"),
+        ("coupling", "1\t2\t0.5\n# c\n2\t3\t1\n# end\n", "1\t2\t0.5\n2\t3\t1\n"),
+        ("partition", "".join(part[:4]) + "# c\n" + "".join(part[4:]) + "# end", "".join(part)),
+    ]  # fmt: skip
+    for kind, body, plain in cases:
+        _, got = load_kind(tmp_path, kind, body)
+        assert not calls
+        _, want = load_kind(tmp_path, kind, plain, "plain.txt")
+        assert same_arrays(got, want)
+    with pytest.raises(NetworkFormatError, match=r"line 2: expected 'layer u v \[weight\]'"):
+        load_kind(tmp_path, "network", H2 + "1\t1\t2\t# note\n")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz"])
+def test_compressed_suffix_read_as_plain_text(tmp_path, suffix):
+    # np.loadtxt would decompress a file given by such a name; every input
+    # is plain UTF-8 text whatever its name
+    part = "".join(f"{j}\t{l}\t1\n" for l in (1, 2) for j in (1, 2, 3))
+    for kind, body in [
+        ("network", "#multiplex n=3 L=2\n1\t1\t2\t1\n# c\n2\t2\t3\t0.5\n"),
+        ("coupling", "1\t2\t0.5\n# c\n2\t3\t1\n"),
+        ("labels", "1\ta\n2\tb\n# c\n3\ta\n"),
+        ("partition", part + "# end\n"),
+    ]:
+        _, got = load_kind(tmp_path, kind, body, "f" + suffix)
+        _, want = load_kind(tmp_path, kind, body)
+        assert same_arrays(got, want)
+
+
+def test_comment_lines_across_blocks(tmp_path):
+    # the file is scanned for # in blocks of 65536 characters extended to
+    # whole lines, and lines are counted across them, \r\n once
+    edges = "1\t1\t2\r\n" * 40000
+    body = "#multiplex n=2 L=1\r\n" + edges + "# c\r\n#multiplex n=2 L=1\r\n"
+    with pytest.raises(NetworkFormatError, match="line 40003: duplicate #multiplex header"):
+        load_kind(tmp_path, "network", body)
+    # a # after a field, just past the end of the first block
+    body = H2 + "# " + "x" * 108 + "\n" + "1\t1\t2\n" * 10900 + "1\t1\t2\t# x\n"
+    assert body.rindex("#") == 1 << 16
+    with pytest.raises(NetworkFormatError, match="line 10903: expected 'layer u v"):
+        load_kind(tmp_path, "network", body)
 
 
 def test_loaded_weights_bit_identical_to_from_coo(tmp_path):

@@ -44,11 +44,13 @@ def label_edge_sums(rows, cols, data, labels, cross=False):
 #
 # Each string is a prefix x of length a followed by a suffix y of length
 # b = m - a, where b is the longest with n_c**b <= chunk and a >= 1.
-# Prefixes are grown depth first, each new position adding its share of
-# the score.  The n_c**b suffixes are tabulated once, in lexicographic
-# order, with their internal score and the smallest prefix maximum label
-# that keeps x y a restricted growth string.  A block of prefixes is then
-# scored against the whole table:
+# Prefixes are grown level by level, in lexicographic order, each new
+# position adding its share of the score; under the oracle's limit
+# n_c**m <= 10**7 and the default chunk, a level holds at most 1024
+# prefixes (n_c = 2, m = 23).  The n_c**b suffixes are tabulated once, in
+# lexicographic order, with their internal score and the smallest prefix
+# maximum label that keeps x y a restricted growth string.  Each block of
+# prefixes is then scored against the whole table:
 #     score(x y) = score(x) + internal(y) + 2 sum_q G[x, y_q, q],
 #     G[x, c, q] = sum_{i : x_i = c} S[i, a + q],
 # and the pairs that are not restricted growth strings get -inf.  Every
@@ -133,42 +135,23 @@ def _best_completion(labels, maxl, score, S, n_c, chunk, table):
     return best
 
 
-def _best_extension(labels, maxl, score, S, n_c, chunk, table):
-    """First maximum, in lexicographic order, over the full-length strings
-    that extend the given prefixes.
-
-    Depth-first, extending at most chunk // n_c prefixes at a time: each
-    level holds at most chunk rows, so memory is bounded by m * chunk
-    labels whatever the number of strings.
-    """
-    if labels.shape[1] + table[0].shape[1] == S.shape[0]:
-        return _best_completion(labels, maxl, score, S, n_c, chunk, table)
-    labels, maxl, score = _extend(labels, maxl, score, S, n_c)
-    best = None
-    step = max(1, chunk // n_c)
-    for start in range(0, labels.shape[0], step):
-        part = slice(start, start + step)
-        cand = _best_extension(labels[part], maxl[part], score[part], S, n_c, chunk, table)
-        if best is None or cand[0] > best[0]:
-            best = cand
-    return best
-
-
 def enumerate_partitions(S, n_c, chunk=4096):
     """Maximum of sum_{i,j same label} S[i, j] over partitions into <= n_c groups.
 
     ``S`` must be symmetric.  Returns (value, labels) with 0-based labels;
     among equal maxima the lexicographically first restricted growth
-    string wins.  ``chunk`` bounds the rows of each enumeration level and
-    the size of the suffix table.
+    string wins.  The prefixes are grown level by level and held whole,
+    so their number, not ``chunk``, sets the memory; ``chunk`` bounds only
+    the size of the suffix table and of each scoring block.
     """
     m = S.shape[0]
     b = 0
     while b < m - 1 and n_c ** (b + 1) <= chunk:
         b += 1
+    labels = np.zeros((1, 1), dtype=np.int64)
+    maxl, score = labels[0], np.array([S[0, 0]], dtype=float)
+    while labels.shape[1] < m - b:
+        labels, maxl, score = _extend(labels, maxl, score, S, n_c)
     table = _suffix_table(S, n_c, m - b)
-    root = np.zeros((1, 1), dtype=np.int64)
-    value, prefix, j = _best_extension(
-        root, root[0], np.array([S[0, 0]], dtype=float), S, n_c, chunk, table
-    )
+    value, prefix, j = _best_completion(labels, maxl, score, S, n_c, chunk, table)
     return value, np.concatenate([prefix, table[0][j]])

@@ -49,7 +49,8 @@ __all__ = [
     "load_basis",
 ]
 
-METHODS = ("mpbtv", "dgfm3")
+# each detection method and the label of the operator its basis comes from
+METHODS = {"mpbtv": "shifted_neg_lk", "dgfm3": "modularity"}
 
 # restart budget of one thick-restart Lanczos sequence
 _MAX_RESTARTS = 500
@@ -337,7 +338,7 @@ def basis_for_method(method, net, deg, gamma, k, tol=1e-8, rng_seed=0):
     if method == "dgfm3":
         op = modularity_op(net, deg, gamma)
         return largest_eigenpairs(op, k, tol=tol, rng_seed=rng_seed)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    raise ValueError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
 
 
 def save_basis(basis, path, meta=None):

@@ -71,7 +71,7 @@ class DetectConfig:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+            raise ValueError(f"unknown method {self.method!r}; expected one of {tuple(METHODS)}")
         if self.n_c < 2:
             raise ValueError("n_c must be >= 2")
         if self.k < 1:
@@ -231,6 +231,9 @@ def detect(net, deg, config, basis=None, threads=1):
         )
         offline = time.perf_counter() - t0
     else:
+        want = METHODS[config.method]
+        if basis.operator_label != want:
+            raise ValueError(f"{config.method} needs a {want} basis, got {basis.operator_label}")
         if basis.dim != net.nL:
             raise ValueError("basis dimension does not match network")
         if basis.k < config.k:

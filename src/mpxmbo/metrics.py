@@ -35,6 +35,9 @@ __all__ = [
     "evaluate",
 ]
 
+# largest n_c**nL the exhaustive oracle accepts
+_ORACLE_LIMIT = 10_000_000
+
 
 def _layer_labels(partition, net):
     if partition.size != net.nL:
@@ -246,15 +249,16 @@ def _dense_modularity_matrix(net, deg, gamma):
     return S
 
 
-def oracle_max_modularity(net, deg, gamma, n_c, limit=10_000_000):
+def oracle_max_modularity(net, deg, gamma, n_c):
     """Global maximum of multiplex modularity over partitions into <= n_c groups.
 
     Scores every canonical label assignment (label permutations are
-    visited once), with no bounding or pruning: prefixes are grown depth
-    first, and each block of them is scored against one table of all
+    visited once), with no bounding or pruning: prefixes are grown level
+    by level, and each block of them is scored against one table of all
     n_c**b suffixes, b < nL the longest with n_c**b <= 4096
-    (``_kernels.enumerate_partitions``).  Memory does not grow with nL.
-    Instances with n_c**nL beyond ``limit`` are rejected.  The returned
+    (``_kernels.enumerate_partitions``).  Instances with n_c**nL beyond
+    10**7 are rejected, so a level holds at most 1024 prefixes and memory
+    does not grow with nL.  The returned
     modularity is recomputed from the winning partition with
     `multiplex_modularity`.
 
@@ -267,8 +271,8 @@ def oracle_max_modularity(net, deg, gamma, n_c, limit=10_000_000):
     if deg.total_strength <= 0:
         raise ValueError("modularity undefined: total strength is zero")
     nL = net.nL
-    if n_c**nL > limit:
-        raise ValueError(f"exhaustive search too large: {n_c}**{nL} > {limit}")
+    if n_c**nL > _ORACLE_LIMIT:
+        raise ValueError(f"exhaustive search too large: {n_c}**{nL} > {_ORACLE_LIMIT}")
     if n_c == 1:
         part = Partition(np.ones(nL, dtype=np.int64), 1)
         return multiplex_modularity(part, net, deg, gamma), part

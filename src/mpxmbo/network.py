@@ -13,7 +13,8 @@ separated fields; blank lines are skipped, a line starting with ``#`` is a
 comment (a later ``#`` belongs to a field), ids read as ``int`` reads them
 and weights as ``float`` does.  numpy's C reader parses each file and skips
 comment lines anywhere at no extra cost, a pipe line by line from memory;
-``1_0``-style tokens or a ``#`` inside a field take a Python tokenizer.
+``1_0``-style tokens, or a ``#`` inside a field with a comment line after
+the first data line, take a Python tokenizer.
 
 Network file:
     * header line ``#multiplex n=<n> L=<L>`` before any edge line,
@@ -343,7 +344,8 @@ def _read_rows(path, kinds, what, expected, mixed=None):
 
 def _comments(text):
     """The (line, text) of the ``#`` lines of ``text``, read from its start in
-    blocks of whole lines; None if a ``#`` follows a field of its line."""
+    blocks of whole lines, and whether a ``#`` follows a field of its line;
+    the search stops at the first such ``#``."""
     text.seek(0)
     found, no = [], 0
     while block := text.read(1 << 16):
@@ -351,28 +353,30 @@ def _comments(text):
         for m in re.finditer("#.*", block):
             start = block.rfind("\n", 0, m.start()) + 1
             if block[start : m.start()].strip():
-                return None
+                return found, True
             no, last = no + block.count("\n", last, start), start
             found.append((no + 1, m.group().rstrip()))
         # numpy counts several times faster than str.count
         no += np.count_nonzero(np.frombuffer(block[last:].encode(), np.uint8) == 10)
-    return found
+    return found, False
 
 
 def _loadtxt(text, path, name, kinds):
     """`_tokenize`'s rows, read by `np.loadtxt` from the file ``name`` or else
-    ``text``; None if it refuses a line, or a ``#`` follows a field."""
+    ``text``; None if it refuses a line.  After a ``#`` inside a field, ``#``
+    is text, so any later comment line is refused: every first column is an int."""
     try:
         lineno, line = next(((no, x) for no, x in _data_lines(text) if x[0] != "#"), (0, ""))
         width = len(line.split())
-        if width in kinds and (comments := _comments(text)) is not None:
+        if width in kinds:
+            comments, in_field = _comments(text)
             dtype = [(f"c{j}", _DTYPES[t]) for j, t in enumerate(kinds[width][:width])]
             text.seek(0)
             with warnings.catch_warnings():
                 # older numpy reads "1.0" in an int column, with only this warning
                 warnings.simplefilter("error", DeprecationWarning)
-                table = np.loadtxt(name or text, dtype, comments="#", skiprows=lineno - 1,
-                                   encoding="utf-8", ndmin=1)  # fmt: skip
+                table = np.loadtxt(name or text, dtype, comments=None if in_field else "#",
+                                   skiprows=lineno - 1, encoding="utf-8", ndmin=1)  # fmt: skip
             cols = [table[col] for col, _ in dtype]
             cols += [np.full(table.size, value) for value in kinds[width][width:]]
             return _Rows(text, path, cols, comments, lineno)

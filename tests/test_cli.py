@@ -307,6 +307,24 @@ def test_basis_cache_path_without_npz_suffix(capsys, tmp_path):
     assert err == ""
 
 
+def test_unreadable_basis_cache_is_recomputed(capsys, tmp_path):
+    # bytes that are not an npz are noted and overwritten, and the basis
+    # stored in their place is loaded by the next run
+    cache = tmp_path / "basis.npz"
+    cache.write_bytes(b"not an npz archive")
+    base = [
+        "detect", "--input", FLORENTINE, "--method", "dgfm3", "--nc", "3", "--k", "4",
+        "--runs", "3", "--basis-cache", str(cache), "--out", str(tmp_path / "p.tsv"),
+    ]
+    rc, out, err = run_cli(capsys, *base)
+    assert rc == 0
+    assert "note: ignoring unreadable basis cache (" in err
+    assert cache.read_bytes()[:2] == b"PK"
+    rc, out, err = run_cli(capsys, *base)
+    assert (rc, err) == (0, "")
+    assert get_field(out, "offline seconds") == "0"
+
+
 def test_basis_cache_keyed_on_edges(capsys, tmp_path):
     # same n, L and total strength, different edges: the cached basis of
     # the first network must not be reused for the second
@@ -539,6 +557,24 @@ def test_grid_bad_range(capsys):
     )
     assert rc == 2
     assert "usage error" in err
+
+
+@pytest.mark.parametrize(
+    "nc_range, k_range, message",
+    [
+        ("2", "3:4", "--nc-range expects low:high, got '2'"),
+        ("2:3", "a:b", "--k-range expects integers, got 'a:b'"),
+    ],
+)
+def test_grid_malformed_range_is_a_usage_error(capsys, tmp_path, nc_range, k_range, message):
+    out = tmp_path / "grid.tsv"
+    rc, stdout, err = run_cli(
+        capsys,
+        "grid", "--input", FLORENTINE, "--method", "dgfm3", "--nc-range", nc_range,
+        "--k-range", k_range, "--runs", "2", "--out", str(out),
+    )
+    assert (rc, stdout, err) == (2, "", f"usage error: {message}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -340,6 +340,19 @@ def test_detect_reuses_and_truncates_basis(florentine):
         assert np.array_equal(a.partition.assignment, b.partition.assignment)
 
 
+def test_detect_rejects_a_basis_of_the_other_method(florentine):
+    # each method diffuses in its own operator's eigenvectors; a basis of
+    # the other operator would run to a partition without any error
+    net, deg = florentine
+    for method, other, message in [
+        ("mpbtv", "dgfm3", "mpbtv needs a shifted_neg_lk basis, got modularity"),
+        ("dgfm3", "mpbtv", "dgfm3 needs a modularity basis, got shifted_neg_lk"),
+    ]:
+        basis = basis_for_method(other, net, deg, 0.6, 4)
+        with pytest.raises(ValueError, match=message):
+            detect(net, deg, DetectConfig(method=method, n_c=3, k=4, gamma=0.6), basis=basis)
+
+
 def test_dgfm3_large_weights_do_not_overflow():
     # leading modularity eigenvalues near 600 overflow exp(dt * eigenvalue)
     # at the default dt = 1 unless the runs shift them

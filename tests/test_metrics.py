@@ -290,7 +290,7 @@ def test_oracle_degenerate_and_oversized():
     net = random_network(rng, n_max=10, l_max=3)
     deg = compute_degrees(net)
     with pytest.raises(ValueError, match="too large"):
-        oracle_max_modularity(net, deg, 1.0, 2, limit=4)
+        oracle_max_modularity(net, deg, 1.0, 2)
 
 
 def test_oracle_matches_full_enumeration():
@@ -379,7 +379,9 @@ def test_enumerate_partitions_same_for_any_chunk(n_c, m):
     rng = np.random.default_rng([n_c, m])
     s = rng.integers(-1, 2, size=(m, m)).astype(float)
     s = s + s.T
-    # below chunk = 16, n_c > 2 extends one prefix per call and takes seconds
+    # chunk = 2 and 3 leave suffixes of at most one position and score 16
+    # to 48 prefixes per block, tenths of a second per case at n_c > 2;
+    # n_c = 2 is enough to cover them
     chunks = (2, 3, 16, 4096) if n_c == 2 else (16, 4096)
     results = [_kernels.enumerate_partitions(s, n_c, chunk=chunk) for chunk in chunks]
     val, lab = results[0]

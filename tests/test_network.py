@@ -415,6 +415,7 @@ EQUIVALENT_FILES = [
      "1\t1\t1\n2\t1\t1\n3\t1\t2\n1\t2\t2\n2\t2\t2\n3\t2\t1\n"),  # fmt: skip
     ("coupling", "# none listed\n\n", ""),
     ("coupling", "1\t2\t1\n# c\n3\t2\t1_0\n", "1\t2\t1\n2\t3\t10\n"),
+    ("labels", "1\ta#b\n# c\n2\tc\n3\ta#b\n", "1\tx\n2\ty\n3\tx\n"),
 ]
 
 
@@ -494,10 +495,15 @@ def test_regular_file_and_pipe_fail_alike(tmp_path, pipe_path, kind, body, line,
     assert read_both_ways(tmp_path, pipe_path, kind, body) == [(line, where + message)] * 2
 
 
+# the first 12 EQUIVALENT_FILES, then NEWLINE_FILES, then the rest: a case
+# added to EQUIVALENT_FILES leaves the ids of the others unchanged
+FILE_AND_PIPE = EQUIVALENT_FILES[:12] + NEWLINE_FILES + EQUIVALENT_FILES[12:]
+
+
 @pytest.mark.parametrize(
     "kind, body, plain",
-    EQUIVALENT_FILES + NEWLINE_FILES,
-    ids=[f"{case[0]}-{i}" for i, case in enumerate(EQUIVALENT_FILES + NEWLINE_FILES)],
+    FILE_AND_PIPE,
+    ids=[f"{case[0]}-{i}" for i, case in enumerate(FILE_AND_PIPE)],
 )
 def test_regular_file_and_pipe_load_alike(tmp_path, pipe_path, kind, body, plain):
     from_file, from_pipe = read_both_ways(tmp_path, pipe_path, kind, body)
@@ -526,6 +532,17 @@ def test_comment_lines_skip_the_python_tokenizer(tmp_path, monkeypatch):
     with pytest.raises(NetworkFormatError, match=r"line 2: expected 'layer u v \[weight\]'"):
         load_kind(tmp_path, "network", H2 + "1\t1\t2\t# note\n")
     assert len(calls) == 1
+
+
+def test_hash_inside_a_label_skips_the_python_tokenizer(tmp_path, monkeypatch):
+    # with no comment line after the data, a # inside a label is read as
+    # text by np.loadtxt, to the plain file's partition
+    calls, tokenize = [], network._tokenize
+    monkeypatch.setattr(network, "_tokenize", lambda *args: calls.append(args) or tokenize(*args))
+    _, got = load_kind(tmp_path, "labels", "# lead\n1\ta#b\n2\t#c\n3\ta#b\n")
+    assert not calls
+    _, want = load_kind(tmp_path, "labels", "1\tx\n2\ty\n3\tx\n", "plain.txt")
+    assert same_arrays(got, want)
 
 
 @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz"])

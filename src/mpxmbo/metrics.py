@@ -13,6 +13,12 @@ node-layer pairs: the same-community entries of the dense supra
 modularity matrix (the one the exhaustive oracle scores), summed and
 divided by 2mu.  It exists as an independent arithmetic path for
 validation.
+
+Each term is built once: `_penalties` gives each layer's volume penalty
+and `_coupled` the coupled layer pairs, for modularity, the TV objective
+and the dense matrix alike; `_overlaps` gives the non-empty cells of the
+contingency table, which `nmi` and `matched_accuracy` both read, so both
+truth scores take O(nL) memory whatever the n_c.
 """
 
 from __future__ import annotations
@@ -45,15 +51,20 @@ def _layer_labels(partition, net):
     return partition.assignment.reshape(net.L, net.n)
 
 
-def _community_volumes(labels, degrees, n_c):
-    """Per-community sums of a degree vector, for one layer."""
-    return np.bincount(labels - 1, weights=degrees, minlength=n_c)
+def _penalties(lab, deg, gamma, n_c):
+    """Per layer, gamma_l / s_l * sum_c (d_l . u_c)^2 with s_l = 2 m_l, or 0 where s_l = 0;
+    the squares sum in sorted order, so each term is exactly invariant under relabeling."""
+    out = []
+    for l, s in enumerate(deg.layer_strengths):
+        vol = np.bincount(lab[l] - 1, weights=deg.intra_degrees[l], minlength=n_c)
+        out.append(gamma[l] * float(np.sort(vol * vol).sum()) / s if s > 0 else 0.0)
+    return out
 
 
-def _volume_penalty(vol):
-    """Sum of squared volumes, in sorted order so relabeling communities
-    permutes nothing and the float result is exactly invariant."""
-    return float(np.sort(vol * vol).sum())
+def _coupled(net):
+    """(k, l, omega * C[k, l]) for each ordered pair of coupled layers k != l."""
+    return [(k, l, net.omega * c) for (k, l), c in np.ndenumerate(net.coupling)
+            if net.omega != 0.0 and k != l and c != 0.0]  # fmt: skip
 
 
 def multiplex_modularity(partition, net, deg, gamma):
@@ -82,17 +93,11 @@ def multiplex_modularity(partition, net, deg, gamma):
         raise ValueError("modularity undefined: total strength is zero")
     lab = _layer_labels(partition, net)
     num = 0.0
-    for l, a in enumerate(net.intra):
-        num += _kernels.label_edge_sums(a.rows, a.cols, a.data, lab[l])
-        if deg.layer_strengths[l] > 0:
-            vol = _community_volumes(lab[l], deg.intra_degrees[l], partition.n_c)
-            num -= gamma[l] * _volume_penalty(vol) / deg.layer_strengths[l]
-    if net.omega != 0.0 and net.L > 1:
-        for k in range(net.L):
-            for l in range(net.L):
-                if k != l and net.coupling[k, l] != 0.0:
-                    agree = int(np.count_nonzero(lab[k] == lab[l]))
-                    num += net.omega * net.coupling[k, l] * agree
+    for a, row, penalty in zip(net.intra, lab, _penalties(lab, deg, gamma, partition.n_c)):
+        num += _kernels.label_edge_sums(a.rows, a.cols, a.data, row)
+        num -= penalty
+    for k, l, w in _coupled(net):
+        num += w * int(np.count_nonzero(lab[k] == lab[l]))
     q = num / deg.total_strength
     if not np.isfinite(q):
         raise ValueError(f"modularity is not finite ({q}): the weights overflow float64")
@@ -127,25 +132,38 @@ def balanced_tv_objective(partition, net, deg, gamma):
     if deg.total_strength <= 0:
         raise ValueError("objective undefined: total strength is zero")
     lab = _layer_labels(partition, net)
-    tv = 0.0
-    for l, a in enumerate(net.intra):
-        tv += _kernels.label_edge_sums(a.rows, a.cols, a.data, lab[l], cross=True)
-    if net.omega != 0.0 and net.L > 1:
-        for k in range(net.L):
-            for l in range(net.L):
-                if k != l and net.coupling[k, l] != 0.0:
-                    disagree = int(np.count_nonzero(lab[k] != lab[l]))
-                    tv += net.omega * net.coupling[k, l] * disagree
-    balance = 0.0
-    for l in range(net.L):
-        if deg.layer_strengths[l] > 0:
-            vol = _community_volumes(lab[l], deg.intra_degrees[l], partition.n_c)
-            balance += gamma[l] * _volume_penalty(vol) / deg.layer_strengths[l]
+    tv, balance = 0.0, 0.0
+    for a, row in zip(net.intra, lab):
+        tv += _kernels.label_edge_sums(a.rows, a.cols, a.data, row, cross=True)
+    for k, l, w in _coupled(net):
+        tv += w * int(np.count_nonzero(lab[k] != lab[l]))
+    for penalty in _penalties(lab, deg, gamma, partition.n_c):
+        balance += penalty
     return tv, balance
 
 
+def _overlaps(a, b):
+    """The labels a and b use (sorted), then per non-empty cell of their contingency
+    table, in label order, the indices of its two labels and its count."""
+    if a.size != b.size:
+        raise ValueError("partitions must have equal length")
+    if a.size == 0:
+        raise ValueError("empty partitions")
+    x, y, names = a.assignment, b.assignment, None
+    if (int(x.max()) + 1) * (int(y.max()) + 1) > 2**63:  # a key past int64: rank labels first
+        (na, x), (nb, y) = (np.unique(p.assignment, return_inverse=True) for p in (a, b))
+        names = na, nb
+    m = int(y.max()) + 1
+    key = np.sort(x * m + y)
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    (ua, i), (ub, j) = (np.unique(v, return_inverse=True) for v in np.divmod(key[first], m))
+    if names:
+        ua, ub = names[0][ua], names[1][ub]
+    return ua, ub, i, j, np.diff(np.r_[first, key.size])
+
+
 def _entropy(counts, total):
-    p = counts[counts > 0] / total
+    p = counts / total
     # sorted summation: exact invariance under community relabeling
     return float(-np.sort(p * np.log(p)).sum())
 
@@ -158,28 +176,16 @@ def nmi(a, b):
     is 0.0, unless both do, which counts as identical (1.0).  Partitions
     identical up to relabeling return exactly 1.0.
     """
-    if a.size != b.size:
-        raise ValueError("partitions must have equal length")
-    if a.size == 0:
-        raise ValueError("empty partitions")
-    cont = np.zeros((a.n_c, b.n_c))
-    np.add.at(cont, (a.assignment - 1, b.assignment - 1), 1.0)
-    total = float(a.size)
-    row = cont.sum(axis=1)
-    col = cont.sum(axis=0)
-    rows_used = int(np.count_nonzero(row))
-    cols_used = int(np.count_nonzero(col))
-    if rows_used == 1 or cols_used == 1:
-        return 1.0 if rows_used == 1 and cols_used == 1 else 0.0
-    nz = cont > 0
-    if nz.sum(axis=1).max() == 1 and nz.sum(axis=0).max() == 1:
-        # one-to-one correspondence between non-empty communities
+    ua, ub, i, j, count = _overlaps(a, b)
+    if ua.size == 1 or ub.size == 1:
+        return 1.0 if ua.size == ub.size == 1 else 0.0
+    if count.size == ua.size == ub.size:  # a one-to-one match of non-empty communities
         return 1.0
-    ha = _entropy(row, total)
-    hb = _entropy(col, total)
-    i, j = np.nonzero(cont)
-    p = cont[i, j] / total
-    terms = p * np.log(cont[i, j] * total / (row[i] * col[j]))
+    total = float(a.size)
+    row, col = np.bincount(i, weights=count), np.bincount(j, weights=count)
+    ha, hb = _entropy(row, total), _entropy(col, total)
+    p = count / total
+    terms = p * np.log(count * total / (row[i] * col[j]))
     # summing in sorted order makes nmi(a, b) == nmi(b, a) bitwise
     mi = float(np.sort(terms).sum())
     return float(min(max(mi / np.sqrt(ha * hb), 0.0), 1.0))
@@ -199,33 +205,18 @@ def matched_accuracy(detected, truth):
     (float, dict)
         Accuracy in [0, 1] and the detected-to-truth label matching.
     """
-    if detected.size != truth.size:
-        raise ValueError("partitions must have equal length")
-    if detected.size == 0:
-        raise ValueError("empty partitions")
-    det_sizes = detected.community_sizes()
-    order = sorted(
-        (int(lab) for lab in range(1, detected.n_c + 1) if det_sizes[lab - 1] > 0),
-        key=lambda lab: (-det_sizes[lab - 1], lab),
-    )
-    truth_sizes = truth.community_sizes()
-    available = [t for t in range(1, truth.n_c + 1) if truth_sizes[t - 1] > 0]
-    matching = {}
-    for lab in order:
-        if not available:
-            break
-        members = truth.assignment[detected.assignment == lab]
-        counts = np.bincount(members, minlength=truth.n_c + 1)
-        best_t = available[0]
-        best_overlap = counts[best_t]
-        for t in available[1:]:
-            if counts[t] > best_overlap:
-                best_t, best_overlap = t, counts[t]
-        matching[lab] = best_t
-        available.remove(best_t)
-    correct = 0
-    for lab, t in matching.items():
-        correct += int(np.count_nonzero((detected.assignment == lab) & (truth.assignment == t)))
+    ua, ub, i, j, count = _overlaps(detected, truth)
+    cut = np.searchsorted(i, np.arange(ua.size + 1))  # community r owns cells cut[r]:cut[r + 1]
+    free, smallest, matching, correct = np.ones(ub.size, dtype=bool), 0, {}, 0
+    for r in np.argsort(-np.add.reduceat(count, cut[:-1]), kind="stable")[: ub.size]:
+        cols = j[cut[r] : cut[r + 1]]
+        hits = count[cut[r] : cut[r + 1]] * free[cols]
+        k = int(hits.argmax())  # the first largest overlap has the smallest truth label
+        while not free[smallest]:
+            smallest += 1
+        t = cols[k] if hits[k] else smallest  # no overlap left: the smallest free label
+        free[t], correct = False, correct + int(hits[k])
+        matching[int(ua[r])] = int(ub[t])
     return correct / detected.size, matching
 
 
@@ -240,12 +231,9 @@ def _dense_modularity_matrix(net, deg, gamma):
             d = deg.intra_degrees[l]
             block = block - (gamma[l] / deg.layer_strengths[l]) * np.outer(d, d)
         S[l * n : (l + 1) * n, l * n : (l + 1) * n] = block
-    if net.omega != 0.0:
-        for k in range(L):
-            for l in range(L):
-                if k != l and net.coupling[k, l] != 0.0:
-                    idx = np.arange(n)
-                    S[k * n + idx, l * n + idx] = net.omega * net.coupling[k, l]
+    idx = np.arange(n)
+    for k, l, w in _coupled(net):
+        S[k * n + idx, l * n + idx] = w
     return S
 
 
@@ -258,9 +246,8 @@ def oracle_max_modularity(net, deg, gamma, n_c):
     n_c**b suffixes, b < nL the longest with n_c**b <= 4096
     (``_kernels.enumerate_partitions``).  Instances with n_c**nL beyond
     10**7 are rejected, so a level holds at most 1024 prefixes and memory
-    does not grow with nL.  The returned
-    modularity is recomputed from the winning partition with
-    `multiplex_modularity`.
+    does not grow with nL.  The returned modularity is recomputed from the
+    winning partition with `multiplex_modularity`.
 
     Returns
     -------

@@ -107,12 +107,10 @@ class SparseSym:
         # Each order is the stable one, so the (i, j) and (j, i) duplicate groups
         # sum in input order -> exact symmetry.  rows * n + cols orders as (rows,
         # cols); with the input position appended, the sorted keys' remainders
-        # are the stable order (faster than argsort).  Past int64, sort stably or lexsort.
+        # are the stable order (faster than argsort).  A key past int64 lexsorts.
         if n * n <= (2**63 - 1) // nnz:
             keys = np.sort((rows * n + cols) * nnz + np.arange(nnz))
             order = keys - keys // nnz * nnz
-        elif n <= 3037000499:  # floor(sqrt(2**63))
-            order = np.argsort(rows * n + cols, kind="stable")
         else:
             order = np.lexsort((cols, rows))
         rows, cols, data = rows[order], cols[order], data[order]
@@ -297,13 +295,25 @@ _DTYPES = {int: np.int64, float: np.float64, str: object}
 _PAIR = "pair ({},{})"
 
 
-def _data_lines(text):
-    """Yield (line_number, stripped_line) for the non-blank lines of text, from its start."""
+def _data_lines(text, path):
+    """Yield (line_number, stripped_line) for the non-blank lines of text, from its start.
+    At the first byte that is not UTF-8, the lines of its decode chunk before it are
+    decoded again from the raw bytes and yielded; then NetworkFormatError names its line."""
     text.seek(0)
-    for lineno, raw in enumerate(text, start=1):
-        line = raw.strip()
-        if line:
-            yield lineno, line
+    done = 0
+    try:
+        for done, raw in enumerate(text, start=1):
+            if line := raw.strip():
+                yield done, line
+    except UnicodeDecodeError:
+        text.seek(0)
+        try:
+            text.buffer.read().decode("utf-8")
+        except UnicodeDecodeError as exc:  # exc.start counts from the start of the file
+            # with "?" for the bad byte, the last of these lines is the one holding it
+            head = io.StringIO(exc.object[: exc.start].decode() + "?", newline=None).readlines()
+            yield from ((i, x) for i, x in enumerate(map(str.strip, head[done:-1]), done + 1) if x)
+            raise NetworkFormatError(str(exc), path, len(head)) from None
 
 
 class _Rows:
@@ -321,7 +331,7 @@ class _Rows:
 
     def line(self, i):
         # stops at row i, so a decoding fault after it is not met again
-        data = (no for no, line in _data_lines(self.text) if line[0] != "#")
+        data = (no for no, line in _data_lines(self.text, self.path) if line[0] != "#")
         return next(itertools.islice(data, i, None))
 
 
@@ -366,7 +376,7 @@ def _loadtxt(text, path, name, kinds):
     ``text``; None if it refuses a line.  After a ``#`` inside a field, ``#``
     is text, so any later comment line is refused: every first column is an int."""
     try:
-        lineno, line = next(((no, x) for no, x in _data_lines(text) if x[0] != "#"), (0, ""))
+        lineno, line = next(((no, x) for no, x in _data_lines(text, path) if x[0] != "#"), (0, ""))
         width = len(line.split())
         if width in kinds:
             comments, in_field = _comments(text)
@@ -394,7 +404,7 @@ def _tokenize(text, path, kinds, what, expected, mixed):
     """
     rows, comments, first, fault = [], [], None, None
     try:
-        for lineno, line in _data_lines(text):
+        for lineno, line in _data_lines(text, path):
             if line[0] == "#":
                 comments.append((lineno, line))
                 continue
@@ -409,8 +419,8 @@ def _tokenize(text, path, kinds, what, expected, mixed):
             except ValueError as exc:
                 fault = (lineno, f"cannot parse {what} line: {exc}")
                 break
-    except UnicodeDecodeError as exc:  # raised after the lines before it
-        fault = (float("inf"), exc)
+    except NetworkFormatError as exc:  # bytes that are not UTF-8, after the lines before them
+        fault = (exc.line, exc)
     types = kinds[len(rows[0])] if rows else kinds[max(kinds)]
     cols = [_column(c, t) for c, t in zip(list(zip(*rows)) or [()] * len(types), types)]
     return _Rows(text, path, cols, comments, first, fault)

@@ -2,7 +2,8 @@
 
 The dense builders assemble supra matrices directly from definitions with
 plain numpy, so operator/eigensolver tests compare against arithmetic
-that shares no code with the package internals.  The network builders
+that shares no code with the package internals; the dense truth scores
+do the same for `nmi` and `matched_accuracy`.  The network builders
 and writers (dense layers in, canonical files out) serve tests only.
 """
 
@@ -130,6 +131,64 @@ def dense_modularity_value(partition, net, gamma):
     u = partition.one_hot()
     two_mu = dense_supra(net).sum()
     return float(np.trace(u.T @ a @ u) / two_mu)
+
+
+def _reference_entropy(counts, total):
+    p = counts[counts > 0] / total
+    return float(-np.sort(p * np.log(p)).sum())
+
+
+def reference_nmi(a, b):
+    """NMI from the dense n_c(a) x n_c(b) contingency table, summed in the
+    sorted orders the package uses, so the bits must agree."""
+    cont = np.zeros((a.n_c, b.n_c))
+    np.add.at(cont, (a.assignment - 1, b.assignment - 1), 1.0)
+    total = float(a.size)
+    row = cont.sum(axis=1)
+    col = cont.sum(axis=0)
+    rows_used = int(np.count_nonzero(row))
+    cols_used = int(np.count_nonzero(col))
+    if rows_used == 1 or cols_used == 1:
+        return 1.0 if rows_used == 1 and cols_used == 1 else 0.0
+    nz = cont > 0
+    if nz.sum(axis=1).max() == 1 and nz.sum(axis=0).max() == 1:
+        return 1.0
+    ha = _reference_entropy(row, total)
+    hb = _reference_entropy(col, total)
+    i, j = np.nonzero(cont)
+    p = cont[i, j] / total
+    terms = p * np.log(cont[i, j] * total / (row[i] * col[j]))
+    mi = float(np.sort(terms).sum())
+    return float(min(max(mi / np.sqrt(ha * hb), 0.0), 1.0))
+
+
+def reference_matched_accuracy(detected, truth):
+    """The greedy matching of `matched_accuracy`, one scan of all labels per
+    detected community and one count per matched pair."""
+    det_sizes = detected.community_sizes()
+    order = sorted(
+        (int(lab) for lab in range(1, detected.n_c + 1) if det_sizes[lab - 1] > 0),
+        key=lambda lab: (-det_sizes[lab - 1], lab),
+    )
+    truth_sizes = truth.community_sizes()
+    available = [t for t in range(1, truth.n_c + 1) if truth_sizes[t - 1] > 0]
+    matching = {}
+    for lab in order:
+        if not available:
+            break
+        members = truth.assignment[detected.assignment == lab]
+        counts = np.bincount(members, minlength=truth.n_c + 1)
+        best_t = available[0]
+        best_overlap = counts[best_t]
+        for t in available[1:]:
+            if counts[t] > best_overlap:
+                best_t, best_overlap = t, counts[t]
+        matching[lab] = best_t
+        available.remove(best_t)
+    correct = 0
+    for lab, t in matching.items():
+        correct += int(np.count_nonzero((detected.assignment == lab) & (truth.assignment == t)))
+    return correct / detected.size, matching
 
 
 # ---------------------------------------------------------------- generators

@@ -264,6 +264,15 @@ def test_bad_truth_file_fails_before_the_solve(capsys, tmp_path):
     assert not cache.exists() and not part.exists()
 
 
+def test_bytes_not_utf8_end_with_path_and_line(capsys, tmp_path):
+    net = tmp_path / "net.mpx"
+    net.write_bytes(b"#multiplex n=2 L=1\n1\t1\t2\n1\t1\t\xff\n")
+    rc, out, err = run_cli(capsys, "eval", "--input", str(net), "--partition", str(net))
+    assert (rc, out) == (1, "")
+    assert err == (f"error: {net}: line 3: 'utf-8' codec can't decode byte 0xff "
+                   "in position 29: invalid start byte\n")  # fmt: skip
+
+
 @pytest.mark.parametrize(
     "flag, name, message",
     [

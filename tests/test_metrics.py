@@ -8,7 +8,10 @@ import pytest
 
 from mpxmbo import (
     DetectConfig,
+    MultiplexNetwork,
     Partition,
+    SparseSym,
+    all_to_all_coupling,
     balanced_tv_objective,
     compute_degrees,
     detect,
@@ -28,6 +31,8 @@ from conftest import (
     random_gamma,
     random_network,
     random_partition,
+    reference_matched_accuracy,
+    reference_nmi,
 )
 
 
@@ -262,6 +267,99 @@ def test_accuracy_detected_relabeling_same_sizes():
 def test_accuracy_length_mismatch():
     with pytest.raises(ValueError):
         matched_accuracy(P([1, 2]), P([1, 2, 1]))
+
+
+# ------------------------------------------------------- against references
+
+
+def ranked(p):
+    """p with the labels it uses renumbered 1, 2, ... in order, and those labels."""
+    used, rank = np.unique(p.assignment, return_inverse=True)
+    return Partition(rank + 1, used.size), used
+
+
+def reference_scores(a, b, rank=False):
+    """The dense references' nmi and accuracy bits (as hex) and matching items.
+    With ``rank``, or past a small table, they score the ranked labels, which
+    keeps every order the greedy match breaks ties by, and name the matching
+    in the labels again."""
+    if not rank and a.n_c * b.n_c <= 10**6:
+        value, (acc, matching) = reference_nmi(a, b), reference_matched_accuracy(a, b)
+    else:
+        (ra, la), (rb, lb) = ranked(a), ranked(b)
+        value, (acc, matching) = reference_nmi(ra, rb), reference_matched_accuracy(ra, rb)
+        matching = {int(la[d - 1]): int(lb[t - 1]) for d, t in matching.items()}
+    return value.hex(), acc.hex(), list(matching.items())
+
+
+def random_pair(rng):
+    """Two partitions of one size: independent, a noisy copy, or blocks
+    whose overlaps tie; each with a few labels left unused."""
+    size, na, nb = int(rng.integers(1, 50)), int(rng.integers(1, 9)), int(rng.integers(1, 9))
+    kind = rng.integers(3)
+    b = rng.integers(1, nb + 1, size)
+    if kind == 0:
+        a = rng.integers(1, na + 1, size)
+    elif kind == 1:
+        a, flip = b.copy(), rng.random(size) < 0.3
+        a[flip] = rng.integers(1, na + 1, flip.sum())
+    else:
+        a = np.repeat(rng.integers(1, na + 1, 10), 5)[:size]
+        b = np.tile(rng.integers(1, nb + 1, 5), 10)[:size]
+    return P(a, int(a.max() + rng.integers(3))), P(b, int(b.max() + rng.integers(3)))
+
+
+SCORE_CASES = [
+    # the third detected community's only overlap is taken: it gets truth 3
+    (P([1, 1, 1, 2, 2, 3]), P([1, 1, 3, 2, 2, 1])),
+    (P([1, 1, 2, 2]), P([1, 2, 1, 2])),  # ties in size and in overlap
+    (P([2, 2, 1, 1, 3, 3]), P([2, 1, 2, 1, 2, 1])),
+    (P(np.arange(1, 9)), P([1, 1, 2, 2, 2, 1, 2, 1])),  # more detected than truth
+    (P([1, 2, 1, 2, 1]), P(np.arange(1, 6))),  # more truth than detected
+    (P([2, 5, 5, 2, 7], 9), P([4, 4, 1, 1, 1], 6)),  # labels left unused
+    (P([1, 1, 1], 4), P([3, 3, 3], 3)),
+    (P([1, 2**62], 2**62), P([1, 2**62], 2**62)),
+    (P([1, 2**62, 2**62, 1], 2**62), P([2**62, 5, 2**62, 2**62], 2**62)),
+    (P([3, 2**62, 2**62], 2**62), P([2, 2, 1])),
+]
+
+
+def test_truth_scores_match_the_dense_references():
+    # nmi and matched_accuracy read one sparse table of overlaps; the bits
+    # and the matching are those of the dense table and the label scans
+    rng = np.random.default_rng(91)
+    pairs = SCORE_CASES + [random_pair(rng) for _ in range(600)]
+    for a, b in pairs + [(b, a) for a, b in pairs]:
+        acc, matching = matched_accuracy(a, b)
+        assert (nmi(a, b).hex(), acc.hex(), list(matching.items())) == reference_scores(a, b)
+        assert all(type(k) is int and type(v) is int for k, v in matching.items())
+
+
+def test_ranked_reference_scores_as_the_labels_do():
+    # the ranked references stand in for the dense ones past a small table
+    rng = np.random.default_rng(92)
+    for a, b in SCORE_CASES[:7] + [random_pair(rng) for _ in range(200)]:
+        assert reference_scores(a, b, rank=True) == reference_scores(a, b)
+
+
+def test_truth_scores_memory_is_linear():
+    # nL = 4000 singletons: a dense contingency table would take 128 MB
+    n, L = 2000, 2
+    ring = np.arange(n)
+    rows, cols = np.r_[ring, (ring + 1) % n], np.r_[(ring + 1) % n, ring]
+    layer = SparseSym.from_coo(n, rows, cols, np.ones(2 * n))
+    net = MultiplexNetwork(n, L, (layer, layer), all_to_all_coupling(L), 1.0)
+    deg = compute_degrees(net)
+    part = P(np.arange(1, n * L + 1))
+    truth = P(np.random.default_rng(93).permutation(n * L) + 1)
+    tracemalloc.start()
+    try:
+        report = evaluate(part, net, deg, 1.0, truth=truth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.accuracy, report.nmi) == (1.0, 1.0)
+    assert peak < 2 * 2**20
 
 
 # -------------------------------------------------------------------- oracle

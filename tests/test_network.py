@@ -659,10 +659,9 @@ def test_loaders_close_regular_files(tmp_path):
         for load, body, last in cases:
             path.write_bytes(body.encode())
             load(path)
-            for tail, error in [(last.encode(), NetworkFormatError),
-                                (b"\xff\n", UnicodeDecodeError)]:  # fmt: skip
+            for tail in (last.encode(), b"\xff\n"):
                 path.write_bytes(body.encode() + tail)
-                with pytest.raises(error):
+                with pytest.raises(NetworkFormatError):
                     load(path)
         gc.collect()
     assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
@@ -691,11 +690,43 @@ def test_bytes_not_utf8_fail_after_the_lines_before_them(tmp_path):
     body = b"#multiplex n=2 L=1\n" + b"1\t1\t2\n" * 50000 + b"1\t1\t\xff\n"
     path = tmp_path / "a.mpx"
     path.write_bytes(body)
-    with pytest.raises(UnicodeDecodeError):
+    with pytest.raises(NetworkFormatError, match="line 50002: 'utf-8' codec can't decode byte 0xff"):
         load_network(path)
     path.write_bytes(body.replace(b"1\t1\t2\n", b"1\t1\t3\n", 1))
     with pytest.raises(NetworkFormatError, match="line 2: node id out of range"):
         load_network(path)
+
+
+DECODE = "'utf-8' codec can't decode "
+
+
+@pytest.mark.parametrize(
+    "body, line, message",
+    [  # "\udcXX" stands for the byte 0xXX, which is not UTF-8 there
+        (H2 + "1\t1\t3\n1\t1\t\udcff\n", 2, "node id out of range 1..2"),
+        (H2 + "1\t1\t2\n1\t1\t\udcff\n", 3, DECODE + "byte 0xff in position 29: invalid start byte"),
+        ("\udcff" + H2, 1, DECODE + "byte 0xff in position 0: invalid start byte"),
+        (H2 + "1\t1\t2\r\r\n1\t1\t2\u00e9\udce9", 4, DECODE + "byte 0xe9 in position 34: unexpected end of data"),
+        (H2 + "# \u00e9\n\n1\t1\t2\t\udce2\udc82(\n", 4, DECODE + "bytes in position 31-32: invalid continuation byte"),
+    ],
+    ids=["fault-before", "data-line", "first-line", "newlines-truncated", "comment-continuation"],
+)  # fmt: skip
+def test_bytes_not_utf8_name_their_line(tmp_path, body, line, message):
+    # the first line that is not UTF-8 is the error's, unless a line before
+    # it has a fault, also a line in the same decode chunk; from a file or a pipe
+    data = body.encode("utf-8", "surrogateescape")
+    path = tmp_path / "a.mpx"
+    path.write_bytes(data)
+    r, w = os.pipe()
+    os.write(w, data)
+    os.close(w)
+    try:
+        for source in (str(path), f"/dev/fd/{r}"):
+            with pytest.raises(NetworkFormatError) as err:
+                load_network(source)
+            assert (err.value.line, str(err.value)) == (line, f"{source}: line {line}: {message}")
+    finally:
+        os.close(r)
 
 
 @pytest.fixture

@@ -33,7 +33,6 @@ from .metrics import (
     evaluate,
     matched_accuracy,
     multiplex_modularity,
-    multiplex_modularity_sumform,
     nmi,
     oracle_max_modularity,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "evaluate",
     "matched_accuracy",
     "multiplex_modularity",
-    "multiplex_modularity_sumform",
     "nmi",
     "oracle_max_modularity",
     "DegreeData",

@@ -7,12 +7,7 @@ Multiplex modularity of a partition U (one-hot rows, layer-major order) is
                     + omega * sum_{k != l} C[k,l] * #{j : label agrees} ]
 
 with 2mu the total strength of the supra graph.  `multiplex_modularity`
-evaluates exactly this grouped expression (one division at the end);
-`multiplex_modularity_sumform` evaluates the literal double sum over
-node-layer pairs: the same-community entries of the dense supra
-modularity matrix (the one the exhaustive oracle scores), summed and
-divided by 2mu.  It exists as an independent arithmetic path for
-validation.
+evaluates exactly this grouped expression (one division at the end).
 
 Each term is built once: `_penalties` gives each layer's volume penalty
 and `_coupled` the coupled layer pairs, for modularity, the TV objective
@@ -33,7 +28,6 @@ from .network import Partition, gamma_vector
 __all__ = [
     "EvalReport",
     "multiplex_modularity",
-    "multiplex_modularity_sumform",
     "balanced_tv_objective",
     "nmi",
     "matched_accuracy",
@@ -53,7 +47,11 @@ def _layer_labels(partition, net):
 
 def _penalties(lab, deg, gamma, n_c):
     """Per layer, gamma_l / s_l * sum_c (d_l . u_c)^2 with s_l = 2 m_l, or 0 where s_l = 0;
-    the squares sum in sorted order, so each term is exactly invariant under relabeling."""
+    the squares sum in sorted order, so each term is exactly invariant under relabeling.
+    Above nL labels only the used ones are summed, so memory is O(nL) for any n_c."""
+    if n_c > lab.size:
+        used, inverse = np.unique(lab, return_inverse=True)
+        lab, n_c = inverse.reshape(lab.shape) + 1, used.size
     out = []
     for l, s in enumerate(deg.layer_strengths):
         vol = np.bincount(lab[l] - 1, weights=deg.intra_degrees[l], minlength=n_c)
@@ -102,20 +100,6 @@ def multiplex_modularity(partition, net, deg, gamma):
     if not np.isfinite(q):
         raise ValueError(f"modularity is not finite ({q}): the weights overflow float64")
     return q
-
-
-def multiplex_modularity_sumform(partition, net, deg, gamma):
-    """Literal double sum over node-layer pairs (quadratic; validation).
-
-    Sums the same-community entries of the dense supra modularity matrix
-    that the oracle also scores, so its arithmetic is independent of the
-    grouped evaluation in `multiplex_modularity`.
-    """
-    if deg.total_strength <= 0:
-        raise ValueError("modularity undefined: total strength is zero")
-    lab = _layer_labels(partition, net).ravel()
-    S = _dense_modularity_matrix(net, deg, gamma)
-    return float(S[lab[:, None] == lab[None, :]].sum()) / deg.total_strength
 
 
 def balanced_tv_objective(partition, net, deg, gamma):

@@ -11,10 +11,11 @@ File formats
 All files are plain UTF-8 text whatever their suffix, with whitespace-
 separated fields; blank lines are skipped, a line starting with ``#`` is a
 comment (a later ``#`` belongs to a field), ids read as ``int`` reads them
-and weights as ``float`` does.  numpy's C reader parses each file and skips
-comment lines anywhere at no extra cost, a pipe line by line from memory;
-``1_0``-style tokens, or a ``#`` inside a field with a comment line after
-the first data line, take a Python tokenizer.
+and weights as ``float`` does.  Every input is read once into memory;
+numpy's C reader parses a regular file's rows from disk and a pipe's from
+memory, and skips comment lines anywhere at no extra cost.  ``1_0``-style
+tokens, or a ``#`` inside a field with a comment line after the first data
+line, take a Python tokenizer.
 
 Network file:
     * header line ``#multiplex n=<n> L=<L>`` before any edge line,
@@ -36,7 +37,6 @@ communities, one line per node-layer pair, sorted by (layer, node).
 
 from __future__ import annotations
 
-import contextlib
 import io
 import itertools
 import os
@@ -287,143 +287,124 @@ class Partition:
         return np.bincount(self.assignment - 1, minlength=self.n_c)
 
     def n_nonempty(self):
+        if self.n_c > self.size:  # count the labels used, in O(size) memory for any n_c
+            return int(np.unique(self.assignment).size)
         return int(np.count_nonzero(self.community_sizes()))
 
 
 _HEADER_RE = re.compile(r"#multiplex\s+n=(\d+)\s+L=(\d+)\s*$")
 _DTYPES = {int: np.int64, float: np.float64, str: object}
+_PACKED = (".gz", ".bz2", ".xz", ".lzma")
 _PAIR = "pair ({},{})"
+# a data line of a text with \n line ends: its first non-blank character is not #
+_DATA = re.compile(r"^[^\S\n]*[^\s#].*", re.M)
 
 
-def _data_lines(text, path):
-    """Yield (line_number, stripped_line) for the non-blank lines of text, from its start.
-    At the first byte that is not UTF-8, the lines of its decode chunk before it are
-    decoded again from the raw bytes and yielded; then NetworkFormatError names its line."""
-    text.seek(0)
-    done = 0
-    try:
-        for done, raw in enumerate(text, start=1):
-            if line := raw.strip():
-                yield done, line
-    except UnicodeDecodeError:
-        text.seek(0)
-        try:
-            text.buffer.read().decode("utf-8")
-        except UnicodeDecodeError as exc:  # exc.start counts from the start of the file
-            # with "?" for the bad byte, the last of these lines is the one holding it
-            head = io.StringIO(exc.object[: exc.start].decode() + "?", newline=None).readlines()
-            yield from ((i, x) for i, x in enumerate(map(str.strip, head[done:-1]), done + 1) if x)
-            raise NetworkFormatError(str(exc), path, len(head)) from None
+def _line(text, pos):
+    """The number of the line that holds ``text[pos]``."""
+    return text.count("\n", 0, pos) + 1
 
 
 class _Rows:
     """Typed columns of a file's data lines, and what reading them met.
 
-    ``comments`` holds the (line, text) of the ``#`` lines read, ``first``
-    the first data line, and ``fault`` the (line, message or exception)
-    that stopped reading.  ``text`` is the open stream the rows came from;
-    the line number of row i is counted from it only for an error.
+    ``text`` is the file's text with ``\\n`` line ends, to its first byte that
+    is not UTF-8.  A line is named by the position in ``text`` where it
+    starts, and numbered only for an error: ``comments`` holds the
+    (position, text) of the ``#`` lines, ``first`` the position of the
+    first data line, and ``fault`` the (position, message) that stopped
+    reading.
     """
 
-    def __init__(self, text, path, cols, comments, first, fault=None):
-        self.text, self.path, self.cols, self.comments = text, path, cols, comments
-        self.first, self.fault = first, fault
+    def __init__(self, path, text, comments, first):
+        self.path, self.text, self.comments, self.first = path, text, comments, first
+        self.cols = self.fault = None
 
-    def line(self, i):
-        # stops at row i, so a decoding fault after it is not met again
-        data = (no for no, line in _data_lines(self.text, self.path) if line[0] != "#")
-        return next(itertools.islice(data, i, None))
+    def start(self, i):
+        """The position of row i's line."""
+        return next(itertools.islice(_DATA.finditer(self.text), i, None)).start()
 
 
-@contextlib.contextmanager
 def _read_rows(path, kinds, what, expected, mixed=None):
-    """The rows of a file by `_loadtxt`, else `_tokenize`: streamed if regular, else copied once."""
-    name = None
-    if os.path.isfile(path):
-        text = open(path, encoding="utf-8")
-        # loadtxt reads a named file in C chunks, but decompresses these and fetches URL-like names
-        if os.path.splitext(path)[1] not in (".gz", ".bz2", ".xz", ".lzma"):
-            name = os.path.join(os.getcwd(), path)
-    else:
-        with open(path, "rb") as fh:
-            text = io.TextIOWrapper(io.BytesIO(fh.read()), encoding="utf-8")
-    with text:
-        rows = _loadtxt(text, path, name, kinds)
-        yield rows or _tokenize(text, path, kinds, what, expected, mixed)
+    """The rows of a file read once into memory, by `_loadtxt`, else `_tokenize`."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:  # before line ends change, so that an error's position counts the file's bytes
+        text, bad = data.decode("utf-8"), None
+    except UnicodeDecodeError as exc:
+        text, bad = data[: exc.start].decode("utf-8"), str(exc)
+    if "\r" in text:  # universal newlines, as np.loadtxt reads a named file
+        text = io.IncrementalNewlineDecoder(None, translate=True).decode(text, final=True)
+    if bad:  # the whole lines before the bad byte are read, then it is the fault
+        text = text[: text.rfind("\n") + 1]
+    comments, in_field = _comments(text)
+    first = _DATA.search(text)
+    rows = _Rows(path, text, comments, first and first.start())
+    width = len(first.group().split()) if first else 0
+    if width in kinds and not bad:
+        rows.cols = _loadtxt(rows, kinds[width], width, in_field)
+    if rows.cols is None:
+        rows.cols, rows.fault = _tokenize(text, kinds, what, expected, mixed, bad)
+    return rows
 
 
 def _comments(text):
-    """The (line, text) of the ``#`` lines of ``text``, read from its start in
-    blocks of whole lines, and whether a ``#`` follows a field of its line;
-    the search stops at the first such ``#``."""
-    text.seek(0)
-    found, no = [], 0
-    while block := text.read(1 << 16):
-        block, last = block + text.readline(), 0
-        for m in re.finditer("#.*", block):
-            start = block.rfind("\n", 0, m.start()) + 1
-            if block[start : m.start()].strip():
-                return found, True
-            no, last = no + block.count("\n", last, start), start
-            found.append((no + 1, m.group().rstrip()))
-        # numpy counts several times faster than str.count
-        no += np.count_nonzero(np.frombuffer(block[last:].encode(), np.uint8) == 10)
+    """The (position, text) of the ``#`` lines of ``text``, and whether a ``#``
+    follows a field of its line; the search stops at the first such ``#``."""
+    found = []
+    for m in re.finditer("#.*", text):
+        start = text.rfind("\n", 0, m.start()) + 1
+        if text[start : m.start()].strip():
+            return found, True
+        found.append((start, m.group().rstrip()))
     return found, False
 
 
-def _loadtxt(text, path, name, kinds):
-    """`_tokenize`'s rows, read by `np.loadtxt` from the file ``name`` or else
-    ``text``; None if it refuses a line.  After a ``#`` inside a field, ``#``
-    is text, so any later comment line is refused: every first column is an int."""
+def _loadtxt(rows, kind, width, in_field):
+    """`_tokenize`'s columns, read by `np.loadtxt`; None if it refuses a line.
+    After a ``#`` inside a field, ``#`` is text, so any later comment line is
+    refused: every first column is an int."""
+    dtype = [(f"c{j}", _DTYPES[t]) for j, t in enumerate(kind[:width])]
+    # loadtxt reads a named file in C chunks, but decompresses these and fetches URL-like names
+    if os.path.isfile(rows.path) and os.path.splitext(rows.path)[1] not in _PACKED:
+        source = os.path.join(os.getcwd(), rows.path)
+    else:
+        source = io.TextIOWrapper(io.BytesIO(rows.text.encode("utf-8")), encoding="utf-8")
     try:
-        lineno, line = next(((no, x) for no, x in _data_lines(text, path) if x[0] != "#"), (0, ""))
-        width = len(line.split())
-        if width in kinds:
-            comments, in_field = _comments(text)
-            dtype = [(f"c{j}", _DTYPES[t]) for j, t in enumerate(kinds[width][:width])]
-            text.seek(0)
-            with warnings.catch_warnings():
-                # older numpy reads "1.0" in an int column, with only this warning
-                warnings.simplefilter("error", DeprecationWarning)
-                table = np.loadtxt(name or text, dtype, comments=None if in_field else "#",
-                                   skiprows=lineno - 1, encoding="utf-8", ndmin=1)  # fmt: skip
-            cols = [table[col] for col, _ in dtype]
-            cols += [np.full(table.size, value) for value in kinds[width][width:]]
-            return _Rows(text, path, cols, comments, lineno)
+        with warnings.catch_warnings():
+            # older numpy reads "1.0" in an int column, with only this warning
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(source, dtype, comments=None if in_field else "#", encoding="utf-8",
+                               skiprows=_line(rows.text, rows.first) - 1, ndmin=1)  # fmt: skip
     except (ValueError, DeprecationWarning):
-        pass  # a line loadtxt refuses, or bytes that are not UTF-8
+        return None  # a line loadtxt refuses
+    return [table[col] for col, _ in dtype] + [np.full(table.size, v) for v in kind[width:]]
 
 
-def _tokenize(text, path, kinds, what, expected, mixed):
-    """Read the data lines of a whitespace-separated file as typed columns.
+def _tokenize(text, kinds, what, expected, mixed, bad):
+    """Read the data lines of a whitespace-separated text as typed columns.
 
     ``kinds`` maps each accepted column count to its column types (int,
     float or str), then the values of the columns a shorter line leaves
     out; ``mixed`` is the error for a count unlike the first line's.  Lines
-    read as ``str.split``, ``int`` and ``float`` read them, to the first fault.
+    read as ``str.split``, ``int`` and ``float`` read them, to the first
+    fault: the columns, and the fault's (position, message) or None.
+    ``bad`` is the message of a fault at the end of the text, if any.
     """
-    rows, comments, first, fault = [], [], None, None
-    try:
-        for lineno, line in _data_lines(text, path):
-            if line[0] == "#":
-                comments.append((lineno, line))
-                continue
-            parts = line.split()
-            first = first or lineno
-            if len(parts) not in kinds or (mixed and rows and len(parts) != len(rows[0])):
-                fault = (lineno, expected if len(parts) not in kinds else mixed)
-                break
-            kind = kinds[len(parts)]
-            try:
-                rows.append([t(x) for t, x in zip(kind, parts)] + list(kind[len(parts) :]))
-            except ValueError as exc:
-                fault = (lineno, f"cannot parse {what} line: {exc}")
-                break
-    except NetworkFormatError as exc:  # bytes that are not UTF-8, after the lines before them
-        fault = (exc.line, exc)
+    rows, fault = [], bad and (len(text), bad)
+    for m in _DATA.finditer(text):
+        parts = m.group().split()
+        if len(parts) not in kinds or (mixed and rows and len(parts) != len(rows[0])):
+            fault = (m.start(), expected if len(parts) not in kinds else mixed)
+            break
+        kind = kinds[len(parts)]
+        try:
+            rows.append([t(x) for t, x in zip(kind, parts)] + list(kind[len(parts) :]))
+        except ValueError as exc:
+            fault = (m.start(), f"cannot parse {what} line: {exc}")
+            break
     types = kinds[len(rows[0])] if rows else kinds[max(kinds)]
-    cols = [_column(c, t) for c, t in zip(list(zip(*rows)) or [()] * len(types), types)]
-    return _Rows(text, path, cols, comments, first, fault)
+    return [_column(c, t) for c, t in zip(list(zip(*rows)) or [()] * len(types), types)], fault
 
 
 def _column(values, kind):
@@ -442,17 +423,17 @@ def _first_of(key):
 def _raise_first(rows, found, checks):
     """Raise the error of the earliest faulty line, as a line loop would.
 
-    ``found`` holds known (line, message) faults and ``checks`` (mask,
+    ``found`` holds known (position, message) faults and ``checks`` (mask,
     message of row i) pairs, both in the order one line is checked in.
     """
     found = list(found) + ([rows.fault] if rows.fault else [])
     for mask, message in checks:
         if mask.any():
             i = int(mask.argmax())
-            found.append((rows.line(i), message(i)))
+            found.append((rows.start(i), message(i)))
     if found:
-        line, error = min(found, key=lambda fault: fault[0])
-        raise error if isinstance(error, Exception) else NetworkFormatError(error, rows.path, line)
+        at, message = min(found, key=lambda fault: fault[0])
+        raise NetworkFormatError(message, rows.path, _line(rows.text, at))
 
 
 def load_network(path, coupling_path=None, omega=1.0):
@@ -476,22 +457,23 @@ def load_network(path, coupling_path=None, omega=1.0):
     MultiplexNetwork
     """
     kinds = {3: (int, int, int, 1.0), 4: (int, int, int, float)}
-    with _read_rows(path, kinds, "edge", "expected 'layer u v [weight]'") as rows:
-        headers = [(no, m) for no, line in rows.comments if (m := _HEADER_RE.match(line))]
-        found, n, L = [(no, "duplicate #multiplex header") for no, _ in headers[1:2]], 0, 0
-        if headers:
-            n, L = int(headers[0][1].group(1)), int(headers[0][1].group(2))
-            if n < 1 or L < 1:
-                found.append((headers[0][0], "header requires n >= 1 and L >= 1"))
-        if rows.first is not None and (not headers or rows.first < headers[0][0]):
-            found.append((rows.first, "edge line before #multiplex header"))
-        layer, u, v, w = rows.cols
-        _raise_first(rows, found, [
-            ((layer < 1) | (layer > L), lambda i: f"layer id {layer[i]} out of range 1..{L}"),
-            ((u < 1) | (u > n) | (v < 1) | (v > n), lambda i: f"node id out of range 1..{n}"),
-            (~np.isfinite(w), lambda i: "non-finite weight"),
-            (w < 0, lambda i: f"negative weight {float(w[i])}"),
-        ])  # fmt: skip
+    rows = _read_rows(path, kinds, "edge", "expected 'layer u v [weight]'")
+    headers = [(at, m) for at, line in rows.comments if (m := _HEADER_RE.match(line))]
+    found, n, L = [(at, "duplicate #multiplex header") for at, _ in headers[1:2]], 0, 0
+    if headers:
+        n, L = int(headers[0][1].group(1)), int(headers[0][1].group(2))
+        if n < 1 or L < 1:
+            found.append((headers[0][0], "header requires n >= 1 and L >= 1"))
+    if rows.first is not None and (not headers or rows.first < headers[0][0]):
+        found.append((rows.first, "edge line before #multiplex header"))
+    layer, u, v, w = rows.cols
+    _raise_first(rows, found, [
+        ((layer < 1) | (layer > L), lambda i: f"layer id {layer[i]} out of range 1..{L}"),
+        ((u < 1) | (u > n) | (v < 1) | (v > n), lambda i: f"node id out of range 1..{n}"),
+        (~np.isfinite(w), lambda i: "non-finite weight"),
+        (w < 0, lambda i: f"negative weight {float(w[i])}"),
+    ])  # fmt: skip
+    del rows  # and the file's text with it, before the layers are built
     if not headers:
         raise NetworkFormatError("missing #multiplex header", path)
     # per layer, both orientations of each line in file order (a self-loop
@@ -510,16 +492,16 @@ def load_network(path, coupling_path=None, omega=1.0):
 
 
 def _load_coupling(path, L):
-    with _read_rows(path, {3: (int, int, float)}, "coupling", "expected 'k l weight'") as rows:
-        k, l, w = rows.cols
-        lo, hi = np.minimum(k, l), np.maximum(k, l)
-        _raise_first(rows, [], [
-            ((k < 1) | (k > L) | (l < 1) | (l > L), lambda i: f"layer id out of range 1..{L}"),
-            (k == l, lambda i: "self-referential coupling entry"),
-            (~np.isfinite(w) | (w < 0), lambda i: "coupling weight must be finite and >= 0"),
-            (_first_of(lo * (L + 1) + hi) != np.arange(k.size),
-             lambda i: f"duplicate coupling entry for layers {(int(lo[i]), int(hi[i]))}"),
-        ])  # fmt: skip
+    rows = _read_rows(path, {3: (int, int, float)}, "coupling", "expected 'k l weight'")
+    k, l, w = rows.cols
+    lo, hi = np.minimum(k, l), np.maximum(k, l)
+    _raise_first(rows, [], [
+        ((k < 1) | (k > L) | (l < 1) | (l > L), lambda i: f"layer id out of range 1..{L}"),
+        (k == l, lambda i: "self-referential coupling entry"),
+        (~np.isfinite(w) | (w < 0), lambda i: "coupling weight must be finite and >= 0"),
+        (_first_of(lo * (L + 1) + hi) != np.arange(k.size),
+         lambda i: f"duplicate coupling entry for layers {(int(lo[i]), int(hi[i]))}"),
+    ])  # fmt: skip
     coupling = np.zeros((L, L))
     coupling[k - 1, l - 1] = w
     coupling[l - 1, k - 1] = w
@@ -550,26 +532,26 @@ def load_labels(path, net):
     Partition
     """
     n, L = net.n, net.L
-    with _read_rows(
+    rows = _read_rows(
         path, {2: (int, str), 3: (int, int, str)}, "label",
         "expected 'node label' or 'node layer label'", mixed="mixed label-file formats",
-    ) as rows:  # fmt: skip
-        node, layer, labels = rows.cols[0], rows.cols[-2], rows.cols[-1].tolist()
-        per_pair = len(rows.cols) == 3
-        _raise_first(rows, [], [
-            ((node < 1) | (node > n), lambda i: f"node id {node[i]} out of range 1..{n}"),
-            (per_pair & ((layer < 1) | (layer > L)),
-             lambda i: f"layer id {layer[i]} out of range 1..{L}"),
-        ])  # fmt: skip
-        if not labels:
-            raise NetworkFormatError("empty label file", path)
-        remap = {lab: code for code, lab in enumerate(dict.fromkeys(labels), start=1)}
-        code = np.array([remap[lab] for lab in labels], dtype=np.int64)
-        idx, where = ((layer - 1) * n + node - 1, _PAIR) if per_pair else (node - 1, "node {}")
-        _raise_first(rows, [], [
-            (code != code[_first_of(idx)],
-             lambda i: "conflicting labels for " + where.format(node[i], layer[i])),
-        ])  # fmt: skip
+    )  # fmt: skip
+    node, layer, labels = rows.cols[0], rows.cols[-2], rows.cols[-1].tolist()
+    per_pair = len(rows.cols) == 3
+    _raise_first(rows, [], [
+        ((node < 1) | (node > n), lambda i: f"node id {node[i]} out of range 1..{n}"),
+        (per_pair & ((layer < 1) | (layer > L)),
+         lambda i: f"layer id {layer[i]} out of range 1..{L}"),
+    ])  # fmt: skip
+    if not labels:
+        raise NetworkFormatError("empty label file", path)
+    remap = {lab: code for code, lab in enumerate(dict.fromkeys(labels), start=1)}
+    code = np.array([remap[lab] for lab in labels], dtype=np.int64)
+    idx, where = ((layer - 1) * n + node - 1, _PAIR) if per_pair else (node - 1, "node {}")
+    _raise_first(rows, [], [
+        (code != code[_first_of(idx)],
+         lambda i: "conflicting labels for " + where.format(node[i], layer[i])),
+    ])  # fmt: skip
     assignment = np.zeros(n * L if per_pair else n, dtype=np.int64)
     assignment[idx] = code
     _check_complete(assignment, n, where, path)
@@ -583,17 +565,17 @@ def load_partition(path, net):
     inverse of `save_partition`.
     """
     n, L = net.n, net.L
-    with _read_rows(path, {3: (int,) * 3}, "partition", "expected 'node layer community'") as rows:
-        node, layer, com = rows.cols
-        idx = (layer - 1) * n + node - 1
-        _raise_first(rows, [], [
-            ((node < 1) | (node > n) | (layer < 1) | (layer > L),
-             lambda i: "node or layer id out of range"),
-            (com < 1, lambda i: f"community label {com[i]} must be >= 1"),
-            (com > n * L, lambda i: f"community label {com[i]} out of range 1..{n * L}"),
-            (com != com[_first_of(idx)],
-             lambda i: "conflicting labels for " + _PAIR.format(node[i], layer[i])),
-        ])  # fmt: skip
+    rows = _read_rows(path, {3: (int,) * 3}, "partition", "expected 'node layer community'")
+    node, layer, com = rows.cols
+    idx = (layer - 1) * n + node - 1
+    _raise_first(rows, [], [
+        ((node < 1) | (node > n) | (layer < 1) | (layer > L),
+         lambda i: "node or layer id out of range"),
+        (com < 1, lambda i: f"community label {com[i]} must be >= 1"),
+        (com > n * L, lambda i: f"community label {com[i]} out of range 1..{n * L}"),
+        (com != com[_first_of(idx)],
+         lambda i: "conflicting labels for " + _PAIR.format(node[i], layer[i])),
+    ])  # fmt: skip
     assignment = np.zeros(n * L, dtype=np.int64)
     assignment[idx] = com
     _check_complete(assignment, n, _PAIR, path)

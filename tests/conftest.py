@@ -1,12 +1,16 @@
-"""Shared fixtures, test-only builders and independent dense references.
+"""Shared fixtures, test-only builders and independent references.
 
 The dense builders assemble supra matrices directly from definitions with
 plain numpy, so operator/eigensolver tests compare against arithmetic
-that shares no code with the package internals; the dense truth scores
-do the same for `nmi` and `matched_accuracy`.  The network builders
-and writers (dense layers in, canonical files out) serve tests only.
+that shares no code with the package internals; the literal double sum
+of modularity and the dense truth scores do the same for
+`multiplex_modularity`, `nmi` and `matched_accuracy`, and the line-loop
+loaders for the four file loaders.  The network builders and writers
+(dense layers in, canonical files out) and the file generators serve
+tests only.
 """
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +18,13 @@ import pytest
 
 from mpxmbo import (
     MultiplexNetwork,
+    NetworkFormatError,
     Partition,
     SparseSym,
     all_to_all_coupling,
     compute_degrees,
     load_network,
+    metrics,
 )
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -133,6 +139,20 @@ def dense_modularity_value(partition, net, gamma):
     return float(np.trace(u.T @ a @ u) / two_mu)
 
 
+def multiplex_modularity_sumform(partition, net, deg, gamma):
+    """Literal double sum over node-layer pairs (quadratic): the same-community
+    entries of the dense supra modularity matrix that the oracle also scores,
+    summed and divided by 2mu, so its arithmetic is independent of the
+    grouped evaluation in `multiplex_modularity`."""
+    if deg.total_strength <= 0:
+        raise ValueError("modularity undefined: total strength is zero")
+    if partition.size != net.nL:
+        raise ValueError("partition size does not match network")
+    lab = partition.assignment
+    S = metrics._dense_modularity_matrix(net, deg, gamma)
+    return float(S[lab[:, None] == lab[None, :]].sum()) / deg.total_strength
+
+
 def _reference_entropy(counts, total):
     p = counts[counts > 0] / total
     return float(-np.sort(p * np.log(p)).sum())
@@ -189,6 +209,172 @@ def reference_matched_accuracy(detected, truth):
     for lab, t in matching.items():
         correct += int(np.count_nonzero((detected.assignment == lab) & (truth.assignment == t)))
     return correct / detected.size, matching
+
+
+# ------------------------------------------------------------ reference loaders
+#
+# Plain line loops over a regular file, one check after another, raising at
+# the first fault: the file format of README "File formats" written out
+# directly, for comparison with the package's loaders.
+
+_REFERENCE_HEADER = re.compile(r"#multiplex\s+n=(\d+)\s+L=(\d+)\s*$")
+
+
+def _reference_lines(path):
+    """(line number, stripped line) of each non-blank line, as a file opened in
+    text mode numbers them; at the first line holding a byte that is not
+    UTF-8, NetworkFormatError with the message of decoding the whole file."""
+    try:
+        Path(path).read_bytes().decode("utf-8")
+        bad = None
+    except UnicodeDecodeError as exc:
+        bad = str(exc)
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if bad is not None and re.search("[\udc80-\udcff]", raw):
+                raise NetworkFormatError(bad, path, lineno)
+            if line := raw.strip():
+                yield lineno, line
+
+
+def _reference_fields(path, widths, expected):
+    """(line number, fields) of each data line whose field count is in widths."""
+    for lineno, line in _reference_lines(path):
+        if line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) not in widths:
+            raise NetworkFormatError(expected, path, lineno)
+        yield lineno, parts
+
+
+def _reference_parse(path, lineno, what, parse, parts):
+    try:
+        return [f(x) for f, x in zip(parse, parts)]
+    except ValueError as exc:
+        raise NetworkFormatError(f"cannot parse {what} line: {exc}", path, lineno) from None
+
+
+def reference_load_network(path):
+    """`load_network(path, omega=0.0)` as a line loop."""
+    n = L = None
+    buckets = None  # per layer: ([rows], [cols], [weights])
+    for lineno, line in _reference_lines(path):
+        if line.startswith("#"):
+            m = _REFERENCE_HEADER.match(line)
+            if m:
+                if n is not None:
+                    raise NetworkFormatError("duplicate #multiplex header", path, lineno)
+                n, L = int(m.group(1)), int(m.group(2))
+                if n < 1 or L < 1:
+                    raise NetworkFormatError("header requires n >= 1 and L >= 1", path, lineno)
+                buckets = [([], [], []) for _ in range(L)]
+            continue
+        if n is None:
+            raise NetworkFormatError("edge line before #multiplex header", path, lineno)
+        parts = line.split()
+        if len(parts) not in (3, 4):
+            raise NetworkFormatError("expected 'layer u v [weight]'", path, lineno)
+        parse = (int, int, int, float)
+        layer, u, v, w = _reference_parse(path, lineno, "edge", parse, parts + ["1.0"])
+        if not 1 <= layer <= L:
+            raise NetworkFormatError(f"layer id {layer} out of range 1..{L}", path, lineno)
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise NetworkFormatError(f"node id out of range 1..{n}", path, lineno)
+        if not np.isfinite(w):
+            raise NetworkFormatError("non-finite weight", path, lineno)
+        if w < 0:
+            raise NetworkFormatError(f"negative weight {w}", path, lineno)
+        rows, cols, data = buckets[layer - 1]
+        rows.append(u - 1)
+        cols.append(v - 1)
+        data.append(w)
+        if u != v:
+            rows.append(v - 1)
+            cols.append(u - 1)
+            data.append(w)
+    if n is None:
+        raise NetworkFormatError("missing #multiplex header", path)
+    intra = tuple(SparseSym.from_coo(n, r, c, d) for r, c, d in buckets)
+    return MultiplexNetwork(n, L, intra, all_to_all_coupling(L), 0.0)
+
+
+def reference_load_coupling(path, L):
+    """The coupling matrix that `load_network(..., coupling_path=path)` reads."""
+    coupling = np.zeros((L, L))
+    seen = set()
+    for lineno, parts in _reference_fields(path, (3,), "expected 'k l weight'"):
+        k, l, w = _reference_parse(path, lineno, "coupling", (int, int, float), parts)
+        if not (1 <= k <= L and 1 <= l <= L):
+            raise NetworkFormatError(f"layer id out of range 1..{L}", path, lineno)
+        if k == l:
+            raise NetworkFormatError("self-referential coupling entry", path, lineno)
+        if not np.isfinite(w) or w < 0:
+            raise NetworkFormatError("coupling weight must be finite and >= 0", path, lineno)
+        key = (min(k, l), max(k, l))
+        if key in seen:
+            raise NetworkFormatError(f"duplicate coupling entry for layers {key}", path, lineno)
+        seen.add(key)
+        coupling[k - 1, l - 1] = coupling[l - 1, k - 1] = w
+    return coupling
+
+
+def reference_load_labels(path, net):
+    """`load_labels` as a line loop; conflicts are looked for after the last line."""
+    n, L = net.n, net.L
+    entries, ncols = [], None  # (line, index, label)
+    expected = "expected 'node label' or 'node layer label'"
+    for lineno, parts in _reference_fields(path, (2, 3), expected):
+        if ncols is None:
+            ncols = len(parts)
+        elif len(parts) != ncols:
+            raise NetworkFormatError("mixed label-file formats", path, lineno)
+        node, layer = _reference_parse(path, lineno, "label", (int, int), parts[:-1] + [1])
+        if not 1 <= node <= n:
+            raise NetworkFormatError(f"node id {node} out of range 1..{n}", path, lineno)
+        if not 1 <= layer <= L:
+            raise NetworkFormatError(f"layer id {layer} out of range 1..{L}", path, lineno)
+        entries.append((lineno, (layer - 1) * n + node - 1, parts[-1]))
+    if ncols is None:
+        raise NetworkFormatError("empty label file", path)
+    codes = {}
+    for _, _, label in entries:
+        codes.setdefault(label, len(codes) + 1)
+    assignment = np.zeros(n * L if ncols == 3 else n, dtype=np.int64)
+    for lineno, idx, label in entries:
+        if assignment[idx] and assignment[idx] != codes[label]:
+            where = f"pair ({idx % n + 1},{idx // n + 1})" if ncols == 3 else f"node {idx + 1}"
+            raise NetworkFormatError(f"conflicting labels for {where}", path, lineno)
+        assignment[idx] = codes[label]
+    missing = np.flatnonzero(assignment == 0)
+    if missing.size:
+        idx = int(missing[0])
+        where = f"pair ({idx % n + 1},{idx // n + 1})" if ncols == 3 else f"node {idx + 1}"
+        raise NetworkFormatError(f"missing label for {where}", path)
+    return Partition(assignment if ncols == 3 else np.tile(assignment, L), len(codes))
+
+
+def reference_load_partition(path, net):
+    """`load_partition` as a line loop; labels above nL are rejected."""
+    n, L = net.n, net.L
+    assignment = np.zeros(n * L, dtype=np.int64)
+    for lineno, parts in _reference_fields(path, (3,), "expected 'node layer community'"):
+        node, layer, com = _reference_parse(path, lineno, "partition", (int, int, int), parts)
+        if not (1 <= node <= n and 1 <= layer <= L):
+            raise NetworkFormatError("node or layer id out of range", path, lineno)
+        if com < 1:
+            raise NetworkFormatError(f"community label {com} must be >= 1", path, lineno)
+        if com > n * L:
+            raise NetworkFormatError(f"community label {com} out of range 1..{n * L}", path, lineno)
+        idx = (layer - 1) * n + node - 1
+        if assignment[idx] and assignment[idx] != com:
+            raise NetworkFormatError(f"conflicting labels for pair ({node},{layer})", path, lineno)
+        assignment[idx] = com
+    missing = np.flatnonzero(assignment == 0)
+    if missing.size:
+        layer, node = divmod(int(missing[0]), n)
+        raise NetworkFormatError(f"missing label for pair ({node + 1},{layer + 1})", path)
+    return Partition(assignment, int(assignment.max()))
 
 
 # ---------------------------------------------------------------- generators
@@ -255,6 +441,84 @@ def isolate_node(net, node):
         a[:, node] = 0.0
         layers.append(a)
     return from_dense_layers(layers, coupling=net.coupling, omega=net.omega)
+
+
+ODD_INTS = ["0", "-1", "+1", "007", "1_0", "١", "٢", "1.0", "1e0", "0x1", "x", "2#x", "#",
+            "99999999999999999999", "-99999999999999999999"]  # fmt: skip
+ODD_FLOATS = ["-1", "-0.0", "nan", "inf", "-inf", "1e400", "1e-400", "-2.5e-300", "1_0.5", "١.٥",
+              ".5", "5.", "1E2", "+2", "Infinity", "w", "1,5", "0x1p3", "#x", "1.0"]  # fmt: skip
+ODD_LINES = ["", "   ", "\t", "\xa0", "\x0c", "# note", "  # indented", "#", "# é #x",
+             "#multiplex"]  # fmt: skip
+SEPARATORS = ["\t"] * 8 + [" ", "  ", " \t", "\xa0", "\x0c", "\x0b"]
+HEADERS = ["#multiplex n={} L={}", "  #multiplex  n={}\tL={}  ", "#multiplex n=0{} L={}"]
+
+
+def random_loader_file(rng, kind):
+    """A small file of the given kind ("network", "coupling", "labels" or
+    "partition"), valid or faulty, as bytes; with the n and L to read it by.
+
+    Valid lines come first.  Most files then get one to three faults: an odd
+    token, one field's value in place of another's, a field added or
+    dropped, a line dropped or repeated with a new last field, a header
+    dropped, moved or malformed, or bytes that are not UTF-8.  Comment and
+    blank lines are mixed in, fields are split by assorted whitespace, lines
+    end in \\n, \\r\\n or \\r, and the last line end may be missing.
+    """
+    pick = lambda seq: seq[int(rng.integers(len(seq)))]  # noqa: E731
+    n, L = int(rng.integers(1, 5)), int(rng.integers(1 + (kind == "coupling"), 4))
+    if kind == "network":
+        lines = [[pick(HEADERS).format(n, L)]] + [
+            [str(rng.integers(1, L + 1)), *map(str, rng.integers(1, n + 1, 2))]
+            + [pick(["1", "0.5", "2.25", "3e-2", "0"])] * int(rng.random() < 0.8)
+            for _ in range(rng.integers(0, 7))
+        ]
+    elif kind == "coupling":
+        pairs = [(k, l)[:: pick([1, -1])] for k in range(1, L + 1) for l in range(k + 1, L + 1)]
+        lines = [[str(k), str(l), pick(["1", "0.5", "2"])] for k, l in pairs if rng.random() < 0.7]
+    else:
+        width = 3 if kind == "partition" or rng.random() < 0.5 else 2
+        labels = ["a", "b", "a#b", "é", "#c"] if kind == "labels" else range(1, n * L + 1)
+        layers = range(1, (L if width == 3 else 1) + 1)
+        lines = [[str(j), str(l)][: width - 1] + [str(pick(labels))]
+                 for l in layers for j in range(1, n + 1)]  # fmt: skip
+        rng.shuffle(lines)
+    first_float = 2 if kind == "coupling" else 3  # the weight column, where there is one
+    for _ in range(rng.integers(1, 4) if rng.random() < 0.85 else 0):
+        fault = pick(["token"] * 4 + ["copy", "width", "drop", "repeat", "header", "bytes"])
+        line = pick([x for x in lines if not x[0].lstrip().startswith("#")] or [None])
+        where = int(rng.integers(len(lines) + 1))
+        if fault == "header":
+            if kind == "network" and lines and rng.random() < 0.3:
+                del lines[0]
+            else:
+                lines.insert(where, [pick(HEADERS + ["#multiplex n=0 L={1}", "#multiplex n={} L=0"])
+                                     .format(n, L)])  # fmt: skip
+        elif fault == "bytes" and lines:
+            line = pick(lines)
+            line[-1] += pick(["\udcff", "\udce2\udc82", "é\udce9"])
+        elif line is None:
+            continue
+        elif fault == "token":  # the last field, a weight or label, twice as often
+            j = pick([*range(len(line)), len(line) - 1])
+            line[j] = pick((ODD_FLOATS if j >= first_float else ODD_INTS)
+                           + [str(n + 1), str(L + 1), str(n * L + 1)])  # fmt: skip
+        elif fault == "copy":
+            line[int(rng.integers(len(line)))] = pick(line)
+        elif fault == "width":
+            drop = len(line) > 1 and rng.random() < 0.5
+            line[:] = line[:-1] if drop else line + [pick(["1", "x", "# c"])]
+        elif fault == "drop":
+            lines.remove(line)
+        elif fault == "repeat":
+            lines.insert(where, line[:-1] + [pick(["1", "2", "b", line[-1]])])
+    for _ in range(rng.integers(0, 4)):
+        lines.insert(int(rng.integers(len(lines) + 1)), [pick(ODD_LINES)])
+    ends = pick([["\n"], ["\r\n"], ["\r"], ["\n", "\r\n", "\r"]])
+    body = "".join(pick(["", "", "", " ", "\t"]) + pick(SEPARATORS).join(line) + pick(ends)
+                   for line in lines)  # fmt: skip
+    if body and rng.random() < 0.2:
+        body = body.rstrip("\r\n")
+    return body.encode("utf-8", "surrogateescape"), n, L
 
 
 def random_gamma(rng, L):

@@ -19,7 +19,6 @@ from mpxmbo import (
     matched_accuracy,
     modularity_op,
     multiplex_modularity,
-    multiplex_modularity_sumform,
     nmi,
     oracle_max_modularity,
     diffusion_step,
@@ -29,6 +28,7 @@ from mpxmbo import (
 from conftest import (
     connected_network,
     isolate_node,
+    multiplex_modularity_sumform,
     random_gamma,
     random_network,
     random_partition,

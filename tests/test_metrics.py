@@ -18,7 +18,6 @@ from mpxmbo import (
     evaluate,
     matched_accuracy,
     multiplex_modularity,
-    multiplex_modularity_sumform,
     nmi,
     oracle_max_modularity,
 )
@@ -28,6 +27,7 @@ from conftest import (
     dense_modularity_value,
     florentine_best_assignment,
     from_dense_layers,
+    multiplex_modularity_sumform,
     random_gamma,
     random_network,
     random_partition,
@@ -557,3 +557,18 @@ def test_evaluate_with_truth(florentine):
     assert report.accuracy == 1.0
     assert report.nmi == 1.0
     assert report.matching == {1: 1, 2: 2, 3: 3}
+
+
+def test_evaluate_memory_is_linear_for_any_n_c(florentine):
+    # labels far above nL are counted by the labels used, not by n_c: the
+    # volume penalties and the number of communities take O(nL) memory, and
+    # Q is the bits of the same split under labels 1 and 2
+    net, deg = florentine
+    best = florentine_best_assignment()
+    report = evaluate(P(np.where(best == 3, 2**62, 1), 2**62), net, deg, 1.0, truth=P(best))
+    assert report.modularity == 0.5455128205128206
+    assert report.modularity == multiplex_modularity(P(np.where(best == 3, 2, 1)), net, deg, 1.0)
+    assert report.n_communities_detected == 2
+    assert report.matching == {1: 2, 2**62: 3}
+    tv, balance = balanced_tv_objective(P(np.where(best == 3, 2**62, 1), 2**62), net, deg, 1.0)
+    assert report.modularity == pytest.approx(1 - (tv + balance) / deg.total_strength, abs=1e-12)

@@ -2,6 +2,8 @@
 
 import gc
 import os
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,7 +23,18 @@ from mpxmbo import (
 )
 from mpxmbo import _kernels, network
 
-from conftest import dense_supra, from_dense_layers, random_network, save_coupling, save_network
+from conftest import (
+    dense_supra,
+    from_dense_layers,
+    random_loader_file,
+    random_network,
+    reference_load_coupling,
+    reference_load_labels,
+    reference_load_network,
+    reference_load_partition,
+    save_coupling,
+    save_network,
+)
 
 
 def write(tmp_path, name, text):
@@ -511,6 +524,80 @@ def test_regular_file_and_pipe_load_alike(tmp_path, pipe_path, kind, body, plain
     assert same_arrays(from_file, want) and same_arrays(from_pipe, want)
 
 
+def loader_pair(tmp_path, kind, n, L):
+    """The package's loader and the reference line loop of a file kind, each
+    from a path to the arrays it loads."""
+    if kind == "network":
+        return (lambda p: loaded_arrays(load_network(p, omega=0.0)),
+                lambda p: loaded_arrays(reference_load_network(p)))  # fmt: skip
+    if kind == "coupling":
+        net = write(tmp_path, "n.mpx", f"#multiplex n=1 L={L}\n")
+        return (lambda p: [load_network(net, coupling_path=p).coupling],
+                lambda p: [reference_load_coupling(p, L)])  # fmt: skip
+    net = from_dense_layers([np.zeros((n, n))] * L)
+    load, ref = {"labels": (load_labels, reference_load_labels),
+                 "partition": (load_partition, reference_load_partition)}[kind]  # fmt: skip
+    return lambda p: loaded_arrays(load(p, net)), lambda p: loaded_arrays(ref(p, net))
+
+
+def outcome(load, source):
+    """The arrays `load(source)` gives, or the type, line and message (less
+    the path) of what it raises."""
+    try:
+        return [(a.dtype, a.tobytes()) for a in load(source)]
+    except Exception as exc:
+        return type(exc), getattr(exc, "line", None), str(exc).replace(f"{source}: ", "", 1)
+
+
+# the outcomes a kind's loader has: loaded, or each check's error message
+CHECKS = {"network": 13, "coupling": 9, "labels": 12, "partition": 9}
+
+
+@pytest.mark.parametrize("kind", list(CHECKS))
+def test_loaders_match_the_reference_line_loops(tmp_path, kind):
+    # 250 seeded small files, valid and faulty, load from a regular file and
+    # from a pipe as the line loops of conftest load the file: the same
+    # arrays, or the same error type, line and message; among them, every
+    # outcome the kind has
+    rng = np.random.default_rng(list(CHECKS).index(kind))
+    path, seen = tmp_path / "f.txt", set()
+    for _ in range(250):
+        data, n, L = random_loader_file(rng, kind)
+        path.write_bytes(data)
+        load, ref = loader_pair(tmp_path, kind, n, L)
+        want = outcome(ref, path)
+        r, w = os.pipe()
+        os.write(w, data)
+        os.close(w)
+        try:
+            assert [outcome(load, path), outcome(load, f"/dev/fd/{r}")] == [want] * 2, data
+        finally:
+            os.close(r)
+        # the message less its line, numbers and quoted parts
+        seen.add(isinstance(want, list) or re.sub(r"^line \d+: |'.*|-?\d[-+.\de]*", "", want[2]))
+    assert len(seen) == CHECKS[kind], sorted(map(str, seen))
+
+
+def test_load_network_peak_memory_is_a_small_multiple_of_the_file(tmp_path):
+    # the file's text is held once while numpy reads its rows, then released
+    # before the layers are built: about 10.7x the file at the peak on 100k
+    # edge lines; a copy of the whole text kept as an io.StringIO (4 bytes a
+    # character) would add about 4x
+    rng = np.random.default_rng(5)
+    n, L, m = 6000, 4, 100_000
+    edges = np.column_stack([np.sort(rng.integers(1, L + 1, m)), rng.integers(1, n + 1, (m, 2))])
+    lines = "%d\t%d\t%d\n" * m % tuple(edges.ravel().tolist())
+    path = write(tmp_path, "big.mpx", f"#multiplex n={n} L={L}\n" + lines)
+    tracemalloc.start()
+    try:
+        net = load_network(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(a.nnz for a in net.intra) > m
+    assert peak <= 12 * path.stat().st_size
+
+
 def test_comment_lines_skip_the_python_tokenizer(tmp_path, monkeypatch):
     # np.loadtxt skips comment and blank lines anywhere, so a valid file
     # with them loads without the Python tokenizer, to the plain file's
@@ -562,13 +649,13 @@ def test_compressed_suffix_read_as_plain_text(tmp_path, suffix):
 
 
 def test_comment_lines_across_blocks(tmp_path):
-    # the file is scanned for # in blocks of 65536 characters extended to
-    # whole lines, and lines are counted across them, \r\n once
+    # comment lines far into a large file are numbered by counting the line
+    # ends before them, \r\n once
     edges = "1\t1\t2\r\n" * 40000
     body = "#multiplex n=2 L=1\r\n" + edges + "# c\r\n#multiplex n=2 L=1\r\n"
     with pytest.raises(NetworkFormatError, match="line 40003: duplicate #multiplex header"):
         load_kind(tmp_path, "network", body)
-    # a # after a field, just past the end of the first block
+    # a # after a field at character 65536, far past the first lines
     body = H2 + "# " + "x" * 108 + "\n" + "1\t1\t2\n" * 10900 + "1\t1\t2\t# x\n"
     assert body.rindex("#") == 1 << 16
     with pytest.raises(NetworkFormatError, match="line 10903: expected 'layer u v"):
@@ -643,8 +730,8 @@ def test_from_coo_matches_stable_sort_and_reduceat(n):
 
 
 def test_loaders_close_regular_files(tmp_path):
-    # a regular file is streamed, and every loader closes it, also when it
-    # raises; a file object left open warns when it is collected
+    # every loader reads a file once and closes it, also when it raises; a
+    # file object left open warns when it is collected
     net = write(tmp_path, "n.mpx", "#multiplex n=3 L=2\n1\t1\t2\n2\t2\t3\t1_0\n")
     part = "".join(f"{j}\t{l}\t1\n" for l in (1, 2) for j in (1, 2, 3))
     cases = [  # (loader, valid file, a last line out of range)
@@ -686,7 +773,8 @@ def test_float_node_id_rejected_where_warnings_only_warn(tmp_path):
 
 
 def test_bytes_not_utf8_fail_after_the_lines_before_them(tmp_path):
-    # text is decoded in chunks, so a fault in an earlier chunk wins
+    # the lines before a byte that is not UTF-8 are read first, so a fault
+    # on one of them wins, however far back in the file
     body = b"#multiplex n=2 L=1\n" + b"1\t1\t2\n" * 50000 + b"1\t1\t\xff\n"
     path = tmp_path / "a.mpx"
     path.write_bytes(body)
@@ -713,7 +801,7 @@ DECODE = "'utf-8' codec can't decode "
 )  # fmt: skip
 def test_bytes_not_utf8_name_their_line(tmp_path, body, line, message):
     # the first line that is not UTF-8 is the error's, unless a line before
-    # it has a fault, also a line in the same decode chunk; from a file or a pipe
+    # it has a fault, however near; from a file or a pipe
     data = body.encode("utf-8", "surrogateescape")
     path = tmp_path / "a.mpx"
     path.write_bytes(data)

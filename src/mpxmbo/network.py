@@ -287,9 +287,8 @@ class Partition:
         return np.bincount(self.assignment - 1, minlength=self.n_c)
 
     def n_nonempty(self):
-        if self.n_c > self.size:  # count the labels used, in O(size) memory for any n_c
-            return int(np.unique(self.assignment).size)
-        return int(np.count_nonzero(self.community_sizes()))
+        labels = np.sort(self.assignment)  # O(size) for any n_c; np.unique would import numpy.ma
+        return int(np.count_nonzero(labels[1:] != labels[:-1])) + bool(labels.size)
 
 
 _HEADER_RE = re.compile(r"#multiplex\s+n=(\d+)\s+L=(\d+)\s*$")
@@ -342,7 +341,7 @@ def _read_rows(path, kinds, what, expected, mixed=None):
     rows = _Rows(path, text, comments, first and first.start())
     width = len(first.group().split()) if first else 0
     if width in kinds and not bad:
-        rows.cols = _loadtxt(rows, kinds[width], width, in_field)
+        rows.cols = _loadtxt(rows, data, kinds[width], width, in_field)
     if rows.cols is None:
         rows.cols, rows.fault = _tokenize(text, kinds, what, expected, mixed, bad)
     return rows
@@ -360,16 +359,17 @@ def _comments(text):
     return found, False
 
 
-def _loadtxt(rows, kind, width, in_field):
-    """`_tokenize`'s columns, read by `np.loadtxt`; None if it refuses a line.
-    After a ``#`` inside a field, ``#`` is text, so any later comment line is
-    refused: every first column is an int."""
+def _loadtxt(rows, data, kind, width, in_field):
+    """`_tokenize`'s columns, read by `np.loadtxt` from the file or from its
+    bytes ``data``; None if it refuses a line.  After a ``#`` inside a field,
+    ``#`` is text, so any later comment line is refused: every first column
+    is an int."""
     dtype = [(f"c{j}", _DTYPES[t]) for j, t in enumerate(kind[:width])]
     # loadtxt reads a named file in C chunks, but decompresses these and fetches URL-like names
     if os.path.isfile(rows.path) and os.path.splitext(rows.path)[1] not in _PACKED:
         source = os.path.join(os.getcwd(), rows.path)
     else:
-        source = io.TextIOWrapper(io.BytesIO(rows.text.encode("utf-8")), encoding="utf-8")
+        source = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
     try:
         with warnings.catch_warnings():
             # older numpy reads "1.0" in an int column, with only this warning

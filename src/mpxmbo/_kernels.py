@@ -8,6 +8,9 @@ import numpy as np
 
 __all__ = ["csr_matvec", "label_edge_sums", "enumerate_partitions"]
 
+# largest suffix table of enumerate_partitions: n_c**b <= _CHUNK
+_CHUNK = 4096
+
 
 # ---------------------------------------------------------------------------
 # sparse symmetric matvec
@@ -43,10 +46,10 @@ def label_edge_sums(rows, cols, data, labels, cross=False):
 # sum_{i,j same label} S[i, j] (both orders, diagonal included).
 #
 # Each string is a prefix x of length a followed by a suffix y of length
-# b = m - a, where b is the longest with n_c**b <= chunk and a >= 1.
+# b = m - a, where b is the longest with n_c**b <= _CHUNK and a >= 1.
 # Prefixes are grown level by level, in lexicographic order, each new
 # position adding its share of the score; under the oracle's limit
-# n_c**m <= 10**7 and the default chunk, a level holds at most 1024
+# n_c**m <= 10**7 and _CHUNK = 4096, a level holds at most 1024
 # prefixes (n_c = 2, m = 23).  The n_c**b suffixes are tabulated once, in
 # lexicographic order, with their internal score and the smallest prefix
 # maximum label that keeps x y a restricted growth string.  Each block of
@@ -98,16 +101,16 @@ def _suffix_table(S, n_c, a):
     return y, internal, need, np.ascontiguousarray((y * b + np.arange(b)).T)
 
 
-def _best_completion(labels, maxl, score, S, n_c, chunk, table):
+def _best_completion(labels, maxl, score, S, n_c, table):
     """First maximum, in lexicographic order, over each prefix followed by
     each suffix it admits: (value, prefix, suffix index).
 
-    The prefixes are scored in blocks of about 16 * chunk strings.
+    The prefixes are scored in blocks of about 16 * _CHUNK strings.
     """
     y, internal, need, cols = table
     n, a = labels.shape
     b = y.shape[1]
-    rows = max(1, 16 * chunk // len(y))
+    rows = max(1, 16 * _CHUNK // len(y))
     cross = np.empty((min(rows, n), len(y)))
     total = np.empty_like(cross)
     best = None
@@ -135,23 +138,23 @@ def _best_completion(labels, maxl, score, S, n_c, chunk, table):
     return best
 
 
-def enumerate_partitions(S, n_c, chunk=4096):
+def enumerate_partitions(S, n_c):
     """Maximum of sum_{i,j same label} S[i, j] over partitions into <= n_c groups.
 
     ``S`` must be symmetric.  Returns (value, labels) with 0-based labels;
     among equal maxima the lexicographically first restricted growth
     string wins.  The prefixes are grown level by level and held whole,
-    so their number, not ``chunk``, sets the memory; ``chunk`` bounds only
-    the size of the suffix table and of each scoring block.
+    so their number, not ``_CHUNK``, sets the memory; ``_CHUNK`` bounds
+    only the size of the suffix table and of each scoring block.
     """
     m = S.shape[0]
     b = 0
-    while b < m - 1 and n_c ** (b + 1) <= chunk:
+    while b < m - 1 and n_c ** (b + 1) <= _CHUNK:
         b += 1
     labels = np.zeros((1, 1), dtype=np.int64)
     maxl, score = labels[0], np.array([S[0, 0]], dtype=float)
     while labels.shape[1] < m - b:
         labels, maxl, score = _extend(labels, maxl, score, S, n_c)
     table = _suffix_table(S, n_c, m - b)
-    value, prefix, j = _best_completion(labels, maxl, score, S, n_c, chunk, table)
+    value, prefix, j = _best_completion(labels, maxl, score, S, n_c, table)
     return value, np.concatenate([prefix, table[0][j]])

@@ -1,7 +1,7 @@
 """Truncated eigendecompositions of symmetric operators.
 
 `largest_eigenpairs` computes the k algebraically largest eigenpairs of a
-symmetric LinearOperator.  Small operators (dim <= dense_cutoff) are
+symmetric LinearOperator.  Small operators (dim <= `_DENSE_CUTOFF` = 600) are
 solved directly with a dense decomposition, which resolves repeated
 eigenvalues exactly.  Larger ones use thick-restart Lanczos (Wu & Simon
 2000) with full reorthogonalization in a working subspace of
@@ -54,6 +54,9 @@ METHODS = {"mpbtv": "shifted_neg_lk", "dgfm3": "modularity"}
 
 # restart budget of one thick-restart Lanczos sequence
 _MAX_RESTARTS = 500
+
+# largest dimension solved by a dense decomposition
+_DENSE_CUTOFF = 600
 
 
 class ConvergenceError(RuntimeError):
@@ -237,8 +240,11 @@ def _hotelling(op, theta, x, scale):
     return LinearOperator(op.dim, lambda v: op.apply(v) - x @ (shift * (x.T @ v)), op.label)
 
 
-def largest_eigenpairs(op, k, tol=1e-8, rng_seed=0, scale_floor=0.0, dense_cutoff=600):
+def largest_eigenpairs(op, k, tol=1e-8, rng_seed=0, scale_floor=0.0):
     """Compute the k largest eigenpairs of a symmetric operator.
+
+    Problems with op.dim <= ``_DENSE_CUTOFF`` are solved densely, larger
+    ones by thick-restart Lanczos.
 
     Parameters
     ----------
@@ -255,9 +261,6 @@ def largest_eigenpairs(op, k, tol=1e-8, rng_seed=0, scale_floor=0.0, dense_cutof
     scale_floor : float
         Lower bound for the residual scale; pass the spectral shift when
         solving a shifted problem.
-    dense_cutoff : int
-        Problems with op.dim <= dense_cutoff are solved densely; pass 0
-        to force the iterative path.
 
     Returns
     -------
@@ -275,7 +278,7 @@ def largest_eigenpairs(op, k, tol=1e-8, rng_seed=0, scale_floor=0.0, dense_cutof
     dim = op.dim
     if not 1 <= k < dim:
         raise ValueError(f"need 1 <= k < dim, got k={k}, dim={dim}")
-    if dim <= dense_cutoff:
+    if dim <= _DENSE_CUTOFF:
         return _dense_eigenpairs(op, k, tol, scale_floor)
     rng = np.random.default_rng(rng_seed)
     theta, ritz, resid, scale = _thick_restart(

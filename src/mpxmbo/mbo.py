@@ -40,7 +40,6 @@ __all__ = [
     "DetectConfig",
     "RunResult",
     "DetectResult",
-    "run_rng",
     "random_onehot_init",
     "diffusion_step",
     "threshold",

@@ -54,6 +54,7 @@ __all__ = [
     "MultiplexNetwork",
     "DegreeData",
     "Partition",
+    "all_to_all_coupling",
     "gamma_vector",
     "load_network",
     "compute_degrees",
@@ -282,9 +283,6 @@ class Partition:
         u = np.zeros((self.size, self.n_c))
         u[np.arange(self.size), self.assignment - 1] = 1.0
         return u
-
-    def community_sizes(self):
-        return np.bincount(self.assignment - 1, minlength=self.n_c)
 
     def n_nonempty(self):
         labels = np.sort(self.assignment)  # O(size) for any n_c; np.unique would import numpy.ma

@@ -185,12 +185,12 @@ def reference_nmi(a, b):
 def reference_matched_accuracy(detected, truth):
     """The greedy matching of `matched_accuracy`, one scan of all labels per
     detected community and one count per matched pair."""
-    det_sizes = detected.community_sizes()
+    det_sizes = np.bincount(detected.assignment - 1, minlength=detected.n_c)
     order = sorted(
         (int(lab) for lab in range(1, detected.n_c + 1) if det_sizes[lab - 1] > 0),
         key=lambda lab: (-det_sizes[lab - 1], lab),
     )
-    truth_sizes = truth.community_sizes()
+    truth_sizes = np.bincount(truth.assignment - 1, minlength=truth.n_c)
     available = [t for t in range(1, truth.n_c + 1) if truth_sizes[t - 1] > 0]
     matching = {}
     for lab in order:

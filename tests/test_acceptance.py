@@ -14,6 +14,7 @@ from mpxmbo import (
     cli,
     compute_degrees,
     detect,
+    eigensolver,
     largest_eigenpairs,
     load_network,
     matched_accuracy,
@@ -111,9 +112,7 @@ def _cluster_slices(values, tol):
 
 
 def _lanczos_vs_dense(op, k, scale_floor, rng_seed):
-    basis = largest_eigenpairs(
-        op, k, tol=1e-10, scale_floor=scale_floor, dense_cutoff=0, rng_seed=rng_seed
-    )
+    basis = largest_eigenpairs(op, k, tol=1e-10, scale_floor=scale_floor, rng_seed=rng_seed)
     a = op.to_dense()
     vals, vecs = np.linalg.eigh(a)
     vals, vecs = vals[::-1], vecs[:, ::-1]
@@ -130,7 +129,8 @@ def _lanczos_vs_dense(op, k, scale_floor, rng_seed):
     return eig_err, sub_err
 
 
-def test_criterion_4_spectral_correctness(announce):
+def test_criterion_4_spectral_correctness(announce, monkeypatch):
+    monkeypatch.setattr(eigensolver, "_DENSE_CUTOFF", 0)  # Lanczos at every size
     rng = np.random.default_rng(303)
     worst_eig = worst_sub = 0.0
     min_ratio = np.inf  # lambda_min(L+K) / sigma over all trials

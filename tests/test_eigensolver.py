@@ -42,7 +42,18 @@ def check_against_dense(op, basis, k, tol):
     assert np.all(true_resid <= 2 * tol * max(scale, 1.0) + 1e-12)
 
 
-@pytest.mark.parametrize("dense_cutoff", [600, 0])
+@pytest.fixture(params=[600, 0])
+def dense_cutoff(request, monkeypatch):
+    """Each eigensolver path in turn: dense up to dim 600, then iterative only."""
+    monkeypatch.setattr(eigensolver, "_DENSE_CUTOFF", request.param)
+
+
+@pytest.fixture
+def iterative(monkeypatch):
+    """The iterative path at any dim."""
+    monkeypatch.setattr(eigensolver, "_DENSE_CUTOFF", 0)
+
+
 def test_matches_dense_oracle(dense_cutoff):
     rng = np.random.default_rng(41)
     tol = 1e-9
@@ -52,22 +63,18 @@ def test_matches_dense_oracle(dense_cutoff):
         gamma = random_gamma(rng, net.L)
         k = int(rng.integers(2, min(8, net.nL)))
         op = modularity_op(net, deg, gamma)
-        basis = largest_eigenpairs(op, k, tol=tol, dense_cutoff=dense_cutoff)
+        basis = largest_eigenpairs(op, k, tol=tol)
         check_against_dense(op, basis, k, tol)
         op_s, sigma = shifted_neg_lk_op(net, deg, gamma)
-        basis = largest_eigenpairs(
-            op_s, k, tol=tol, scale_floor=sigma, dense_cutoff=dense_cutoff
-        )
+        basis = largest_eigenpairs(op_s, k, tol=tol, scale_floor=sigma)
         check_against_dense(op_s, basis, k, tol)
 
 
-@pytest.mark.parametrize("dense_cutoff", [600, 0])
 def test_repeated_eigenvalues_all_copies_found(florentine, dense_cutoff):
     # the bottom of Laplacian + balance here holds a double zero; a naive
     # single-vector Krylov run returns only one copy
     net, deg = florentine
-    basis = basis_for_method("mpbtv", net, deg, 1.0, 4, tol=1e-10) \
-        if dense_cutoff else _mpbtv_iterative(net, deg, 4)
+    basis = basis_for_method("mpbtv", net, deg, 1.0, 4, tol=1e-10)
     lk = dense_laplacian(net) + dense_balance(net, np.array([1.0, 1.0]))
     ref = -np.linalg.eigvalsh(lk)[:4]
     assert np.abs(basis.eigenvalues - ref).max() <= 1e-7
@@ -75,20 +82,14 @@ def test_repeated_eigenvalues_all_copies_found(florentine, dense_cutoff):
     assert basis.eigenvalues[2] <= -0.3
 
 
-def _mpbtv_iterative(net, deg, k):
-    op, sigma = shifted_neg_lk_op(net, deg, np.array([1.0, 1.0]))
-    raw = largest_eigenpairs(op, k, tol=1e-10, scale_floor=sigma, dense_cutoff=0)
-    return SpectralBasis(raw.eigenvalues - sigma, raw.eigenvectors, raw.residuals, op.label, sigma)
-
-
-def test_doubled_spectrum_all_copies_found():
+def test_doubled_spectrum_all_copies_found(iterative):
     # kron(I2, B) holds every eigenvalue of B twice; a single Krylov
     # sequence sees one copy of each, so the second copies of the top two
     # have to come from the deflation check
     g = np.random.default_rng(1).standard_normal((173, 173))
     a = np.kron(np.eye(2), g + g.T)
     op = LinearOperator(a.shape[0], lambda x: a @ x, "doubled")
-    basis = largest_eigenpairs(op, 4, tol=1e-10, dense_cutoff=0, rng_seed=1)
+    basis = largest_eigenpairs(op, 4, tol=1e-10, rng_seed=1)
     check_against_dense(op, basis, 4, 1e-10)
     assert basis.eigenvalues[0] - basis.eigenvalues[1] <= 1e-8
     assert basis.eigenvalues[2] - basis.eigenvalues[3] <= 1e-8
@@ -113,7 +114,7 @@ def test_identical_layers_mpbtv_all_copies_found(seed):
     assert np.abs(basis.eigenvalues - ref).max() <= 1e-6
 
 
-def test_deflation_check_stops_at_its_answer(monkeypatch):
+def test_deflation_check_stops_at_its_answer(monkeypatch, iterative):
     # a planted spectrum without repeated eigenvalues: the exit check only
     # has to see that the deflated operator's top lies below theta_k, which
     # one Krylov fill (m = 16 matvecs at k = 1) settles
@@ -132,7 +133,7 @@ def test_deflation_check_stops_at_its_answer(monkeypatch):
         return LinearOperator(deflated.dim, mv, deflated.label)
 
     monkeypatch.setattr(eigensolver, "_hotelling", counting_hotelling)
-    basis = largest_eigenpairs(op, 6, tol=1e-8, dense_cutoff=0, rng_seed=1)
+    basis = largest_eigenpairs(op, 6, tol=1e-8, rng_seed=1)
     check_against_dense(op, basis, 6, 1e-8)
     assert set(check_matvecs) == {op.dim}  # one vector per call
     assert 0 < len(check_matvecs) <= 16
@@ -156,12 +157,12 @@ def _planted(operator):
 
 
 @pytest.mark.parametrize("case", ["mod", "lk", "kron3"])
-def test_ritz_vectors_stay_orthonormal(case):
+def test_ritz_vectors_stay_orthonormal(case, iterative):
     # plain Lanczos steps orthogonalize with one full Gram-Schmidt pass
     # after the three-term recurrence; the basis must stay orthonormal
     op, k, floor = _kron3_clustered() if case == "kron3" else _planted(case)
     tol = 1e-8
-    basis = largest_eigenpairs(op, k, tol=tol, scale_floor=floor, dense_cutoff=0, rng_seed=1)
+    basis = largest_eigenpairs(op, k, tol=tol, scale_floor=floor, rng_seed=1)
     x, theta = basis.eigenvectors, basis.eigenvalues
     assert np.abs(x.T @ x - np.eye(k)).max() <= 1e-12
     scale = max(np.abs(theta).max(), floor)
@@ -194,12 +195,11 @@ def test_basis_for_method_rejects_unknown(florentine):
         basis_for_method("louvain", net, deg, 1.0, 3)
 
 
-@pytest.mark.parametrize("dense_cutoff", [600, 0])
 def test_deterministic_given_seed(florentine, dense_cutoff):
     net, deg = florentine
     op = modularity_op(net, deg, np.array([1.0, 1.0]))
-    a = largest_eigenpairs(op, 5, rng_seed=3, dense_cutoff=dense_cutoff)
-    b = largest_eigenpairs(op, 5, rng_seed=3, dense_cutoff=dense_cutoff)
+    a = largest_eigenpairs(op, 5, rng_seed=3)
+    b = largest_eigenpairs(op, 5, rng_seed=3)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert np.array_equal(a.eigenvectors, b.eigenvectors)
     assert np.array_equal(a.residuals, b.residuals)
@@ -213,20 +213,20 @@ def test_k_out_of_range(florentine):
             largest_eigenpairs(op, bad)
 
 
-def test_unreachable_tolerance_raises(florentine):
+def test_unreachable_tolerance_raises(florentine, iterative):
     net, deg = florentine
     op = modularity_op(net, deg, np.array([1.0, 1.0]))
     with pytest.raises(ConvergenceError) as info:
-        largest_eigenpairs(op, 4, tol=0.0, dense_cutoff=0)
+        largest_eigenpairs(op, 4, tol=0.0)
     assert info.value.residuals is not None
     assert np.all(info.value.residuals >= 0)
 
 
-def test_residuals_certified_not_assumed(florentine):
+def test_residuals_certified_not_assumed(florentine, iterative):
     net, deg = florentine
     op = modularity_op(net, deg, np.array([1.0, 1.0]))
     tol = 1e-9
-    basis = largest_eigenpairs(op, 6, tol=tol, dense_cutoff=0)
+    basis = largest_eigenpairs(op, 6, tol=tol)
     scale = np.abs(np.linalg.eigvalsh(op.to_dense())).max()
     assert np.all(basis.residuals <= tol * scale)
     recomputed = np.linalg.norm(

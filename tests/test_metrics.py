@@ -439,7 +439,7 @@ def brute_force_partition(s, n_c):
 
 
 @pytest.mark.parametrize("n_c", [2, 3])
-def test_enumerate_partitions_matches_brute_force(n_c):
+def test_enumerate_partitions_matches_brute_force(n_c, monkeypatch):
     rng = np.random.default_rng(69)
     for trial in range(8):
         m = int(rng.integers(1, 8))
@@ -451,7 +451,8 @@ def test_enumerate_partitions_matches_brute_force(n_c):
         s = s + s.T
         want_val, want_lab = brute_force_partition(s, n_c)
         for chunk in (4096, 3):
-            val, lab = _kernels.enumerate_partitions(s, n_c, chunk=chunk)
+            monkeypatch.setattr(_kernels, "_CHUNK", chunk)
+            val, lab = _kernels.enumerate_partitions(s, n_c)
             assert val == pytest.approx(want_val, abs=1e-12)
             assert lab.tolist() == list(want_lab)
 
@@ -470,18 +471,21 @@ def test_enumerate_partitions_memory_is_bounded():
 
 
 @pytest.mark.parametrize("n_c, m", [(2, 12), (2, 13), (3, 12), (4, 11)])
-def test_enumerate_partitions_same_for_any_chunk(n_c, m):
-    # chunk sets the suffix length b (n_c**b <= chunk); entries in {-2..2}
+def test_enumerate_partitions_same_for_any_chunk(n_c, m, monkeypatch):
+    # _CHUNK sets the suffix length b (n_c**b <= _CHUNK); entries in {-2..2}
     # make every sum exact, and each case has 2 to 7 maxima, which tests
     # the first-maximum rule across prefix blocks and suffix tables
     rng = np.random.default_rng([n_c, m])
     s = rng.integers(-1, 2, size=(m, m)).astype(float)
     s = s + s.T
-    # chunk = 2 and 3 leave suffixes of at most one position and score 16
+    # _CHUNK = 2 and 3 leave suffixes of at most one position and score 16
     # to 48 prefixes per block, tenths of a second per case at n_c > 2;
     # n_c = 2 is enough to cover them
     chunks = (2, 3, 16, 4096) if n_c == 2 else (16, 4096)
-    results = [_kernels.enumerate_partitions(s, n_c, chunk=chunk) for chunk in chunks]
+    results = []
+    for chunk in chunks:
+        monkeypatch.setattr(_kernels, "_CHUNK", chunk)
+        results.append(_kernels.enumerate_partitions(s, n_c))
     val, lab = results[0]
     assert val == s[np.equal.outer(lab, lab)].sum()
     assert all(l <= max(lab[:i], default=-1) + 1 for i, l in enumerate(lab))

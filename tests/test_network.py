@@ -687,11 +687,13 @@ def test_loaded_weights_bit_identical_to_from_coo(tmp_path):
         assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
 
 
-@pytest.mark.parametrize("n", [3037000499, 3037000500])
+@pytest.mark.parametrize("n", [151850024, 151850025, 3037000499, 3037000500])
 def test_from_coo_sort_exact_at_any_n(n):
-    # from_coo sorts by the key rows * n + cols while it fits int64, up to
-    # n = 3037000499 = floor(sqrt(2**63)), and with lexsort above; either
-    # must give the bits of the same entries relabelled onto a small n
+    # from_coo sorts by the key (rows * n + cols) * nnz + position while
+    # n * n <= (2**63 - 1) // nnz, and with lexsort above: for these 400
+    # entries the key sort ends at n = 151850024, and the two larger n lie
+    # around floor(sqrt(2**63)) = 3037000499.  Either sort must give the
+    # bits of the same entries relabelled onto a small n
     rng = np.random.default_rng(23)
     ids = np.array([0, 1, 2, n - 2, n - 1])
     rows, cols = rng.integers(0, ids.size, (2, 400))  # duplicates, self-loops
@@ -866,7 +868,6 @@ def test_partition_label_validation():
         Partition(np.array([1, 3]), 2)  # above n_c
     part = Partition(np.array([1, 3, 3]), 3)
     assert part.n_nonempty() == 2
-    assert part.community_sizes().tolist() == [1, 0, 2]
     u = part.one_hot()
     assert u.shape == (3, 3)
     assert np.array_equal(u.sum(axis=1), np.ones(3))

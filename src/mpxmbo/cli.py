@@ -173,8 +173,8 @@ def _basis(net, deg, gamma, method, k, eig_tol, seed, cache=None):
         for a in net.intra:
             h.update(a.nnz.to_bytes(8, "little"))
             for arr in (a.rows, a.cols, a.data):
-                h.update(arr.tobytes())
-        h.update(net.coupling.tobytes())
+                h.update(arr)  # the loaded arrays are contiguous: no copy
+        h.update(net.coupling)
         key = {"key": h.hexdigest()}
         if os.path.exists(cache):
             try:

@@ -28,6 +28,16 @@ and one Lanczos run decides whether the deflated operator's top lies above
 exceeds thr (a lower bound on the top) or the top one converged below it.
 Above thr a copy was missed: the thick restart resumes from the found
 pairs plus that direction.  After k such rounds it raises `ConvergenceError`.
+
+Memory stays at V (dim x (m + 1)) plus the basis (dim x k) plus O(dim):
+each restart compresses V in place by row blocks of about dim doubles,
+the Ritz block is read from the compressed V and copied out only once
+certified, each pair is certified with one work vector, and a resumed
+solve frees the previous basis once it is copied into V.  The row blocks
+keep the bits of one full product (a GEMM such as OpenBLAS's sums each
+entry in the same order however its rows are blocked), so eigenvector
+bits do not depend on them; each residual is the norm of one vector,
+whose bits may differ by rounding from a norm taken over a block.
 """
 
 from __future__ import annotations
@@ -143,16 +153,42 @@ def _dense_eigenpairs(op, k, tol, scale_floor):
     return SpectralBasis(theta, ritz, resid, op.label)
 
 
+def _compress(V, s, ncols, keep):
+    """Set V[:, :keep] = V[:, :ncols] @ s[:, :keep] in place, by row blocks.
+
+    Each block's product holds about dim doubles.  Every block has at
+    least two rows: numpy multiplies a single row by GEMV, whose sums
+    round differently from the GEMM of the other blocks.
+    """
+    dim = V.shape[0]
+    nblocks = max(1, min(keep, dim // 2))
+    for b in range(nblocks):
+        lo, hi = dim * b // nblocks, dim * (b + 1) // nblocks
+        V[lo:hi, :keep] = V[lo:hi, :ncols] @ s[:, :keep]
+
+
+def _residuals(op, x, theta):
+    """True residual norms ||A x_i - theta_i x_i||, one column at a time."""
+    resid = np.empty(theta.size)
+    for i in range(theta.size):
+        w = op.apply(x[:, i])
+        w -= theta[i] * x[:, i]
+        resid[i] = np.linalg.norm(w)
+    return resid
+
+
 def _thick_restart(op, k, tol, scale_floor, rng, start, locked=None, above=None):
     """Thick-restart Lanczos for the k largest eigenpairs of op.
 
     The Krylov basis starts from the direction ``start``; given
-    ``locked = (theta, x)``, it starts from the Ritz pairs (theta, x)
-    followed by ``start``, which must be orthogonal to x.  Returns the
-    top-k Ritz values and vectors, their true residual norms and the
-    residual scale once every residual is within tol * scale.  Given
-    ``above``, it also returns, uncertified and with residuals None, as
-    soon as the top Ritz value is above it or has converged below it.
+    ``locked = [theta, x]``, it starts from the Ritz pairs (theta, x)
+    followed by ``start``, which must be orthogonal to x, and pops x off
+    the list once it is copied, so that the caller's block can be freed.
+    Returns the top-k Ritz values and vectors, their true residual norms
+    and the residual scale once every residual is within tol * scale.
+    Given ``above``, it also returns, uncertified and with residuals
+    None, as soon as the top Ritz value is above it or has converged
+    below it.
     """
     dim = op.dim
     m = min(dim, k + max(k, 15))
@@ -161,7 +197,7 @@ def _thick_restart(op, k, tol, scale_floor, rng, start, locked=None, above=None)
     keep = 0
     if locked is not None:
         keep = locked[0].size
-        V[:, :keep] = locked[1]
+        V[:, :keep] = locked.pop()
         H[np.arange(keep), np.arange(keep)] = locked[0]
     V[:, keep] = start / np.linalg.norm(start)
     for restart in range(_MAX_RESTARTS):
@@ -213,17 +249,17 @@ def _thick_restart(op, k, tol, scale_floor, rng, start, locked=None, above=None)
         est = beta * np.abs(s[ncols - 1, :k])
         if above is not None and (theta[0] > above or est[0] <= (above - theta[0]) / 2):
             return theta[:k].copy(), V[:, :ncols] @ s[:, :k], None, scale
+        # compress to the leading Ritz vectors; the first k are the Ritz
+        # block to certify
+        keep = min(k + 8, ncols - 1)
+        _compress(V, s, ncols, keep)
         if exhausted or np.all(est <= tol * scale) or restart == _MAX_RESTARTS - 1:
-            ritz = V[:, :ncols] @ s[:, :k]
-            resid = np.linalg.norm(op.apply(ritz) - ritz * theta[:k], axis=0)
+            resid = _residuals(op, V, theta[:k])
             if np.all(resid <= tol * scale):
-                return theta[:k].copy(), ritz, resid, scale
+                return theta[:k].copy(), np.ascontiguousarray(V[:, :k]), resid, scale
         if exhausted:
             raise ConvergenceError("tolerance unreachable in the full space", resid)
-        # thick restart: compress to the leading Ritz vectors and continue
-        # from the residual direction
-        keep = min(k + 8, ncols - 1)
-        V[:, :keep] = V[:, :ncols] @ s[:, :keep]
+        # thick restart: continue from the residual direction
         V[:, keep] = V[:, m]
         H[:, :] = 0.0
         H[np.arange(keep), np.arange(keep)] = theta[:keep]
@@ -296,8 +332,10 @@ def largest_eigenpairs(op, k, tol=1e-8, rng_seed=0, scale_floor=0.0):
         if mu[0] <= thr:
             return SpectralBasis(theta, ritz, resid, op.label)
         y = y[:, 0] - ritz @ (ritz.T @ y[:, 0])
+        locked = [theta, ritz]
+        del ritz  # the resumed solve frees the block once it is copied into V
         theta, ritz, resid, scale = _thick_restart(
-            op, k, tol, scale_floor, rng, y, locked=(theta, ritz)
+            op, k, tol, scale_floor, rng, y, locked=locked
         )
     raise ConvergenceError(f"copies still missing after {k} deflation checks", resid)
 

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, run in process."""
 
+import hashlib
 import json
 import os
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpxmbo import cli, load_network
+from mpxmbo import cli, load_basis, load_network
 
 from conftest import planted_network, save_network
 
@@ -367,6 +368,27 @@ def test_basis_cache_keyed_on_edges(capsys, tmp_path):
     assert rc == 0
     assert get_field(out_cached, "modularity") == get_field(out_fresh, "modularity")
     assert (tmp_path / "b_cached.tsv").read_bytes() == (tmp_path / "b_fresh.tsv").read_bytes()
+
+
+def test_basis_cache_key_hashes_the_array_bytes(capsys, tmp_path):
+    # the key is the sha256 of the parameters and of each array's bytes in
+    # C order, the digest that arr.tobytes() gives, so stored caches stay valid
+    cache = tmp_path / "basis.npz"
+    rc, _, _ = run_cli(
+        capsys, "detect", "--input", FLORENTINE, "--method", "mpbtv", "--nc", "3",
+        "--k", "5", "--runs", "2", "--seed", "4", "--omega", "0.5", "--gamma", "0.6,0.8",
+        "--basis-cache", str(cache), "--out", str(tmp_path / "p.tsv"),
+    )
+    assert rc == 0
+    net = load_network(FLORENTINE, omega=0.5)
+    h = hashlib.sha256(f"mpbtv 5 4 {net.n} {net.L}".encode())
+    h.update(np.float64([1e-8, 0.5]).tobytes() + np.float64([0.6, 0.8]).tobytes())
+    for a in net.intra:
+        h.update(a.nnz.to_bytes(8, "little"))
+        for arr in (a.rows, a.cols, a.data):
+            h.update(arr.tobytes())
+    h.update(net.coupling.tobytes())
+    assert load_basis(cache)[1] == {"key": h.hexdigest()}
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Eigensolver checked against full dense decompositions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,24 @@ def test_ritz_vectors_stay_orthonormal(case, iterative):
     assert np.all(basis.residuals <= tol * scale)
     true_resid = np.linalg.norm(op.apply(x) - x * theta, axis=0)
     assert np.all(true_resid <= tol * scale)
+
+
+@pytest.mark.parametrize("case", ["mod", "kron3"])
+def test_solve_memory_bounded_by_basis(case, iterative):
+    # beside the Krylov basis V (dim x (m + 1)) and the returned Ritz block
+    # (dim x k) the solve holds O(dim) work vectors and the m x m projected
+    # problem; kron3 also resumes after a missed copy, from the found block
+    op, k, floor = _kron3_clustered() if case == "kron3" else _planted(case)
+    dim, m = op.dim, k + max(k, 15)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        basis = largest_eigenpairs(op, k, scale_floor=floor, rng_seed=1)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert basis.k == k
+    assert peak <= 8 * (dim * (m + 1) + dim * k + 16 * dim + 4 * m * m)
 
 
 def test_mpbtv_basis_unshifted_and_negative(florentine):

@@ -26,7 +26,6 @@ from .eigensolver import ConvergenceError, basis_for_method, load_basis, save_ba
 from .mbo import DetectConfig, detect
 from .metrics import evaluate, oracle_max_modularity
 from .network import (
-    NetworkFormatError,
     compute_degrees,
     gamma_vector,
     load_labels,
@@ -322,8 +321,8 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (NetworkFormatError, ConvergenceError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConvergenceError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -305,7 +305,7 @@ def largest_eigenpairs(op, k, tol=1e-8, rng_seed=0, scale_floor=0.0):
     Raises
     ------
     ValueError
-        If k is out of range.
+        If k is out of range or rng_seed is negative.
     ConvergenceError
         If residuals fail to reach tol * scale within the restart budget,
         or copies of repeated eigenvalues are still missing after k
@@ -314,6 +314,8 @@ def largest_eigenpairs(op, k, tol=1e-8, rng_seed=0, scale_floor=0.0):
     dim = op.dim
     if not 1 <= k < dim:
         raise ValueError(f"need 1 <= k < dim, got k={k}, dim={dim}")
+    if rng_seed < 0:  # before the dense path, which draws nothing, so both paths reject it
+        raise ValueError("seed must be >= 0")
     if dim <= _DENSE_CUTOFF:
         return _dense_eigenpairs(op, k, tol, scale_floor)
     rng = np.random.default_rng(rng_seed)

@@ -91,6 +91,8 @@ class DetectConfig:
             raise ValueError("max_iter must be >= 0")
         if not (self.tol > 0 and self.eig_tol > 0):
             raise ValueError("tolerances must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def check(self, net):
         """Raise ValueError unless n_c and k fit the network's nL pairs."""

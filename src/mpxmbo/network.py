@@ -14,8 +14,7 @@ comment (a later ``#`` belongs to a field), ids read as ``int`` reads them
 and weights as ``float`` does.  Every input is read once into memory;
 numpy's C reader parses a regular file's rows from disk and a pipe's from
 memory, and skips comment lines anywhere at no extra cost.  ``1_0``-style
-tokens, or a ``#`` inside a field with a comment line after the first data
-line, take a Python tokenizer.
+tokens and a ``#`` inside a field take a Python tokenizer.
 
 Network file:
     * header line ``#multiplex n=<n> L=<L>`` before any edge line,
@@ -330,16 +329,16 @@ def _read_rows(path, kinds, what, expected, mixed=None):
         text, bad = data.decode("utf-8"), None
     except UnicodeDecodeError as exc:
         text, bad = data[: exc.start].decode("utf-8"), str(exc)
-    if "\r" in text:  # universal newlines, as np.loadtxt reads a named file
-        text = io.IncrementalNewlineDecoder(None, translate=True).decode(text, final=True)
+    # universal newlines, as np.loadtxt reads a named file (a text without \r is returned as is)
+    text = io.IncrementalNewlineDecoder(None, translate=True).decode(text, final=True)
     if bad:  # the whole lines before the bad byte are read, then it is the fault
         text = text[: text.rfind("\n") + 1]
     comments, in_field = _comments(text)
     first = _DATA.search(text)
     rows = _Rows(path, text, comments, first and first.start())
     width = len(first.group().split()) if first else 0
-    if width in kinds and not bad:
-        rows.cols = _loadtxt(rows, data, kinds[width], width, in_field)
+    if width in kinds and not bad and not in_field:  # loadtxt would cut a field at its #
+        rows.cols = _loadtxt(rows.path, data, kinds[width], width)
     if rows.cols is None:
         rows.cols, rows.fault = _tokenize(text, kinds, what, expected, mixed, bad)
     return rows
@@ -357,23 +356,20 @@ def _comments(text):
     return found, False
 
 
-def _loadtxt(rows, data, kind, width, in_field):
+def _loadtxt(path, data, kind, width):
     """`_tokenize`'s columns, read by `np.loadtxt` from the file or from its
-    bytes ``data``; None if it refuses a line.  After a ``#`` inside a field,
-    ``#`` is text, so any later comment line is refused: every first column
-    is an int."""
+    bytes ``data``; None if it refuses a line."""
     dtype = [(f"c{j}", _DTYPES[t]) for j, t in enumerate(kind[:width])]
     # loadtxt reads a named file in C chunks, but decompresses these and fetches URL-like names
-    if os.path.isfile(rows.path) and os.path.splitext(rows.path)[1] not in _PACKED:
-        source = os.path.join(os.getcwd(), rows.path)
+    if os.path.isfile(path) and os.path.splitext(path)[1] not in _PACKED:
+        source = os.path.join(os.getcwd(), path)
     else:
         source = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
     try:
         with warnings.catch_warnings():
             # older numpy reads "1.0" in an int column, with only this warning
             warnings.simplefilter("error", DeprecationWarning)
-            table = np.loadtxt(source, dtype, comments=None if in_field else "#", encoding="utf-8",
-                               skiprows=_line(rows.text, rows.first) - 1, ndmin=1)  # fmt: skip
+            table = np.loadtxt(source, dtype, comments="#", encoding="utf-8", ndmin=1)
     except (ValueError, DeprecationWarning):
         return None  # a line loadtxt refuses
     return [table[col] for col, _ in dtype] + [np.full(table.size, v) for v in kind[width:]]

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpxmbo import cli, load_basis, load_network
+from mpxmbo import cli, eigensolver, load_basis, load_network
 
 from conftest import planted_network, save_network
 
@@ -644,6 +644,50 @@ def test_bad_thread_count_rejected(capsys, tmp_path, command, threads):
     assert rc == 1
     assert err == "error: threads must be >= 1\n"
     assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("cutoff", [600, 0])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["detect", "--method", "dgfm3", "--nc", "3", "--k", "4"],
+        ["spectrum", "--operator", "mod", "--k", "4"],
+    ],
+)
+def test_negative_seed_rejected_on_both_solver_paths(
+    capsys, monkeypatch, tmp_path, command, cutoff
+):
+    # Florentine (nL = 34) takes the dense path at the default cutoff and
+    # the iterative one at 0; both name the seed in the same error line
+    monkeypatch.setattr(eigensolver, "_DENSE_CUTOFF", cutoff)
+    out = tmp_path / "out.tsv"
+    rc, stdout, err = run_cli(
+        capsys, *command, "--input", FLORENTINE, "--seed", "-1", "--out", str(out)
+    )
+    assert (rc, stdout, err) == (1, "", "error: seed must be >= 0\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (MemoryError("Unable to allocate 7.28 TiB for an array"),
+         "Unable to allocate 7.28 TiB for an array"),
+        (MemoryError(), "MemoryError"),
+    ],
+)  # fmt: skip
+def test_memory_error_is_an_error_line(capsys, monkeypatch, tmp_path, exc, message):
+    # a header such as n=1000000000000 fails to allocate the degrees; how
+    # large an allocation fails depends on the host, so the error is raised here
+    def compute_degrees(net):
+        raise exc
+
+    monkeypatch.setattr(cli, "compute_degrees", compute_degrees)
+    rc, stdout, err = run_cli(
+        capsys, "detect", "--input", FLORENTINE, "--method", "dgfm3", "--nc", "3", "--k", "4",
+        "--out", str(tmp_path / "out.tsv"),
+    )  # fmt: skip
+    assert (rc, stdout, err) == (1, "", f"error: {message}\n")
 
 
 def test_version_flag(capsys):

@@ -276,6 +276,51 @@ def test_basis_validation():
         SpectralBasis(vals, vecs, np.zeros(2), "x")
     with pytest.raises(ValueError):
         SpectralBasis(np.array([2.0, 1.0, 0.0]), vecs, np.zeros(3), "x")
+    for bad_vals, bad_vecs in [(vals[::-1], vecs[:, 0]), (vals[::-1, None], vecs)]:
+        with pytest.raises(ValueError, match="^bad basis shapes$"):
+            SpectralBasis(bad_vals, bad_vecs, np.zeros(2), "x")
+
+
+def florentine_op(florentine):
+    net, deg = florentine
+    return modularity_op(net, deg, np.array([1.0, 1.0]))
+
+
+def test_dense_residual_check_raises(florentine):
+    # no rounded residual is within 1e-300 of the spectral radius
+    message = "^dense eigendecomposition failed the residual check$"
+    with pytest.raises(ConvergenceError, match=message) as info:
+        largest_eigenpairs(florentine_op(florentine), 4, tol=1e-300)
+    assert info.value.residuals.shape == (4,)
+
+
+def test_tolerance_unreachable_in_the_full_space(florentine, iterative):
+    # k = dim - 1 makes the working subspace the whole space, so the Krylov
+    # basis runs out of directions before the residuals reach 1e-300
+    op = florentine_op(florentine)
+    message = "^tolerance unreachable in the full space$"
+    with pytest.raises(ConvergenceError, match=message) as info:
+        largest_eigenpairs(op, op.dim - 1, tol=1e-300)
+    assert info.value.residuals.shape == (op.dim - 1,)
+
+
+def test_copies_still_missing_after_k_deflation_checks(florentine, iterative, monkeypatch):
+    # a deflated operator lifted by 1e3 has its top above thr at every check
+    def lifted(op, theta, x, scale):
+        return LinearOperator(op.dim, lambda v: op.apply(v) + 1e3 * v, op.label)
+
+    op = florentine_op(florentine)
+    monkeypatch.setattr(eigensolver, "_hotelling", lifted)
+    message = "^copies still missing after 3 deflation checks$"
+    with pytest.raises(ConvergenceError, match=message) as info:
+        largest_eigenpairs(op, 3)
+    assert info.value.residuals.shape == (3,)
+
+
+def test_negative_seed_rejected_on_both_paths(florentine, dense_cutoff):
+    # the dense path draws no start vector, and must reject the seed alike
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        largest_eigenpairs(florentine_op(florentine), 4, rng_seed=-1)
 
 
 def test_save_load_round_trip(tmp_path, florentine):

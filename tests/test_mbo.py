@@ -79,6 +79,7 @@ def test_run_rng_independent_of_order():
         {"dt": float("nan")},
         {"gamma": (1.0, float("inf"))},
         {"eig_tol": float("nan")},
+        {"seed": -1},
     ],
 )
 def test_config_validation(kwargs):
@@ -367,7 +368,12 @@ def test_dgfm3_large_weights_do_not_overflow():
     assert out.best.modularity == pytest.approx(q_max, abs=1e-12)
 
 
-def test_detect_input_validation(florentine):
+def test_random_init_needs_two_communities():
+    with pytest.raises(ValueError, match="^n_c must be >= 2$"):
+        random_onehot_init(10, 1, np.random.default_rng(0))
+
+
+def test_detect_input_validation(florentine, two_triangles):
     net, deg = florentine
     with pytest.raises(ValueError, match="k"):
         detect(net, deg, DetectConfig(method="dgfm3", n_c=3, k=net.nL))
@@ -376,3 +382,6 @@ def test_detect_input_validation(florentine):
     narrow = basis_for_method("dgfm3", net, deg, 1.0, 3)
     with pytest.raises(ValueError, match="columns"):
         detect(net, deg, DetectConfig(method="dgfm3", n_c=3, k=5), basis=narrow)
+    other = basis_for_method("dgfm3", *two_triangles, 1.0, 3)
+    with pytest.raises(ValueError, match="^basis dimension does not match network$"):
+        detect(net, deg, DetectConfig(method="dgfm3", n_c=3, k=3), basis=other)

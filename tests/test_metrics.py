@@ -224,6 +224,12 @@ def test_nmi_length_mismatch():
         nmi(P([1, 2]), P([1, 2, 1]))
 
 
+def test_nmi_of_empty_partitions():
+    empty = Partition(np.array([], dtype=np.int64), 1)
+    with pytest.raises(ValueError, match="^empty partitions$"):
+        nmi(empty, empty)
+
+
 # ------------------------------------------------------------------ accuracy
 
 
@@ -389,6 +395,8 @@ def test_oracle_degenerate_and_oversized():
     deg = compute_degrees(net)
     with pytest.raises(ValueError, match="too large"):
         oracle_max_modularity(net, deg, 1.0, 2)
+    with pytest.raises(ValueError, match="^n_c must be >= 1$"):
+        oracle_max_modularity(net, deg, 1.0, 0)
 
 
 def test_oracle_matches_full_enumeration():

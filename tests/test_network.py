@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from mpxmbo import (
+    MultiplexNetwork,
     NetworkFormatError,
     Partition,
     SparseSym,
@@ -621,13 +622,13 @@ def test_comment_lines_skip_the_python_tokenizer(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_hash_inside_a_label_skips_the_python_tokenizer(tmp_path, monkeypatch):
-    # with no comment line after the data, a # inside a label is read as
-    # text by np.loadtxt, to the plain file's partition
+def test_hash_inside_a_label_takes_the_python_tokenizer(tmp_path, monkeypatch):
+    # np.loadtxt would cut a field at its #, so a # inside a label is read
+    # by _tokenize, to the plain file's partition
     calls, tokenize = [], network._tokenize
     monkeypatch.setattr(network, "_tokenize", lambda *args: calls.append(args) or tokenize(*args))
     _, got = load_kind(tmp_path, "labels", "# lead\n1\ta#b\n2\t#c\n3\ta#b\n")
-    assert not calls
+    assert len(calls) == 1
     _, want = load_kind(tmp_path, "labels", "1\tx\n2\ty\n3\tx\n", "plain.txt")
     assert same_arrays(got, want)
 
@@ -871,6 +872,57 @@ def test_partition_label_validation():
     u = part.one_hot()
     assert u.shape == (3, 3)
     assert np.array_equal(u.sum(axis=1), np.ones(3))
+
+
+def layer(n):
+    return SparseSym.from_coo(n, [0, 1], [1, 0], [1.0, 1.0])
+
+
+def network_with_coupling(coupling):
+    return MultiplexNetwork(2, 2, (layer(2), layer(2)), np.array(coupling, dtype=float), 1.0)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SparseSym.from_coo(3, [0, 1], [1], [1.0, 1.0]),
+         "rows, cols, data must have equal length"),
+        (lambda: SparseSym.from_coo(3, [0, 3], [1, 0], [1.0, 1.0]), "index out of range"),
+        (lambda: SparseSym.from_coo(3, [0, 1], [1, -1], [1.0, 1.0]), "index out of range"),
+        (lambda: SparseSym.from_coo(3, [0, 1], [1, 0], [np.nan, 1.0]), "non-finite weight"),
+        (lambda: SparseSym.from_coo(3, [0, 1], [1, 0], [-1.0, 1.0]), "negative weight"),
+        (lambda: MultiplexNetwork(0, 1, (), np.zeros((1, 1)), 1.0), "need n >= 1 and L >= 1"),
+        (lambda: MultiplexNetwork(2, 0, (), np.zeros((0, 0)), 1.0), "need n >= 1 and L >= 1"),
+        (lambda: MultiplexNetwork(2, 2, (layer(2),), all_to_all_coupling(2), 1.0),
+         "number of intra-layer matrices must equal L"),
+        (lambda: MultiplexNetwork(2, 1, (layer(3),), np.zeros((1, 1)), 1.0),
+         "each intra-layer matrix must be SparseSym of size n"),
+        (lambda: MultiplexNetwork(2, 1, (np.eye(2),), np.zeros((1, 1)), 1.0),
+         "each intra-layer matrix must be SparseSym of size n"),
+        (lambda: network_with_coupling(np.zeros((3, 3))), "coupling must be 2x2"),
+        (lambda: network_with_coupling([[0, np.inf], [np.inf, 0]]), "non-finite coupling entry"),
+        (lambda: network_with_coupling([[0, -1], [-1, 0]]), "negative coupling entry"),
+        (lambda: network_with_coupling([[0, 1], [2, 0]]), "coupling matrix is not symmetric"),
+        (lambda: network_with_coupling([[1, 0], [0, 0]]), "coupling diagonal must be zero"),
+        (lambda: Partition(np.array([1.0, 2.0]), 2), "assignment must be a 1-D integer array"),
+        (lambda: Partition(np.ones((2, 2), dtype=int), 2),
+         "assignment must be a 1-D integer array"),
+        (lambda: Partition(np.array([1]), 0), "n_c must be >= 1"),
+    ],
+)  # fmt: skip
+def test_model_constructors_reject_bad_input(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+def test_save_partition_rejects_a_size_mismatch(tmp_path, florentine):
+    net, _ = florentine
+    path = tmp_path / "p.tsv"
+    with pytest.raises(ValueError) as info:
+        save_partition(Partition(np.ones(net.nL - 1, dtype=int), 1), net, path)
+    assert str(info.value) == "partition size does not match network"
+    assert not path.exists()
 
 
 def test_gamma_vector_broadcast_and_validation():

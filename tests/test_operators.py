@@ -111,6 +111,13 @@ def test_operators_linear_and_symmetric():
             assert abs(x @ op.apply(y) - y @ op.apply(x)) <= 1e-9, op.label
 
 
+def test_apply_rejects_a_3d_operand():
+    op = LinearOperator(4, lambda x: x, "identity")
+    assert op.apply(np.ones((4, 2))).shape == (4, 2)
+    with pytest.raises(ValueError, match="^operand must be 1-D or 2-D$"):
+        op.apply(np.ones((4, 1, 1)))
+
+
 def reference_matvecs(net, deg, gamma, x):
     """Both operators on one vector, in the order operators.py documents:
     A_l x_l, plus omega * (C @ X), then the rank-one term along d_l with

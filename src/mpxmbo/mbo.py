@@ -10,13 +10,19 @@ max_iter sweeps.  `detect` repeats this from independent random initial
 assignments and keeps the partition with the largest multiplex
 modularity.
 
-A run holds one 0-based label array and one indicator buffer U, filled
-once from the initial partition.  Each sweep is `diffusion_step` (two
-thin products, with the finiteness check on the k x n_c coefficients),
-a row argmax of the diffused U, and an update of U that clears the old
-ones and sets the new ones of the rows whose label changed.  The run's
-`Partition` is built once, at its end; `threshold` remains for library
-users and gives the same labels.
+A run never forms U.  It holds its 0-based labels and the k x n_c
+coefficients W = Phi^T U, built once from the initial labels.  Each
+sweep scales W by exp(dt * eigenvalue) (with the finiteness check on
+those k x n_c values), multiplies it by Phi one row block at a time and
+writes each block's row argmax into a reused label array.  Then it keeps
+W up to date from the moved rows only: each moved row of Phi is added to
+its new column and subtracted from its old one.  So a run takes
+O(nL + k n_c) memory plus one row block of about 2^16 entries, and its
+diffused values may differ by rounding from those of `diffusion_step`,
+which forms Phi^T U afresh; tests check the partitions against
+`diffusion_step` and `threshold` byte for byte.  The run's `Partition` is
+built once, at its end; `diffusion_step`, `threshold` and
+`Partition.one_hot` remain the public library steps.
 
 Every run draws its initial assignment from a counter-based generator
 keyed by seed XOR run_index, so results are reproducible and independent
@@ -28,7 +34,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,6 +130,10 @@ class DetectResult:
     online_seconds: float
 
 
+# entries in one row block of a run's products and indicator updates
+_BLOCK = 1 << 16
+
+
 def run_rng(seed, run_index):
     """Counter-based generator for one run; independent of run order."""
     key = (int(seed) ^ int(run_index)) & 0xFFFFFFFFFFFFFFFF
@@ -144,10 +154,10 @@ def diffusion_step(basis, dt, u):
         raise ValueError("indicator matrix does not match basis dimension")
     w = basis.eigenvectors.T @ u
     w = np.exp(dt * basis.eigenvalues)[:, None] * w
-    # For the one-hot U and eigenvalues shifted to <= 0 that mbo_run passes,
-    # checking the k x n_c W covers the nL x n_c product: every entry of Phi
-    # reaches W through its row's one, and with orthonormal columns
-    # (|Phi| <= 1) |W| <= nL, so a finite W gives |Phi W| <= k nL.
+    # For a one-hot U and eigenvalues shifted to <= 0, checking the k x n_c
+    # W covers the nL x n_c product: every entry of Phi reaches W through
+    # its row's one, and with orthonormal columns (|Phi| <= 1) |W| <= nL,
+    # so a finite W gives |Phi W| <= k nL.
     if not np.all(np.isfinite(w)):
         raise ValueError("non-finite values in diffused indicator")
     return basis.eigenvectors @ w
@@ -161,32 +171,63 @@ def threshold(v):
     return Partition(np.argmax(v, axis=1).astype(np.int64) + 1, v.shape[1])
 
 
+def _move(w, phi, rows, step, new, old=None):
+    """Add each listed row of phi to column new[row] of w, and subtract it
+    from column old[row]: a GEMM of phi[rows].T against the +-1 label
+    changes, step rows at a time."""
+    n_c = w.shape[1]
+    for lo in range(0, rows.size, step):
+        r = rows[lo : lo + step]
+        d = np.zeros((r.size, n_c))
+        i = np.arange(r.size)
+        d[i, new[r]] = 1.0
+        if old is not None:
+            d[i, old[r]] = -1.0
+        w += phi[r].T @ d
+
+
 def mbo_run(basis, config, init, net, deg, run_index=0):
     """One thresholded-diffusion run from a given initial partition.
 
     Returns a RunResult whose modularity is computed on the final
     partition with `metrics.multiplex_modularity`.
     """
+    phi = basis.eigenvectors
+    nL, k = phi.shape
+    n_c = init.n_c
     # Thresholding is a row-wise argmax, so scaling every diffused column
     # by exp(-dt * top) changes no label; it keeps exp(dt * eigenvalue)
     # finite when the leading eigenvalues are large and positive.
     top = max(float(basis.eigenvalues[0]), 0.0)
-    basis = replace(basis, eigenvalues=basis.eigenvalues - top)
-    u = init.one_hot()
-    labels = init.assignment - 1
+    decay = np.exp(config.dt * (basis.eigenvalues - top))[:, None]
+    step = max(2, _BLOCK // max(n_c, k))
+    # each block has at least step >= 2 rows: numpy multiplies a single row
+    # by GEMV, whose sums round differently from the GEMM of the other blocks
+    nblocks = max(1, nL // step)
+    bounds = [nL * b // nblocks for b in range(nblocks + 1)]
+    labels = (init.assignment - 1).astype(np.intp)
+    new = np.empty_like(labels)
+    w = np.zeros((k, n_c))
+    _move(w, phi, np.arange(nL), step, labels)
     iterations = 0
     converged = False
-    for _ in range(config.max_iter):
-        new = np.argmax(diffusion_step(basis, config.dt, u), axis=1)
+    while iterations < config.max_iter:
+        wd = decay * w
+        # as in diffusion_step: every entry of phi reaches w through its
+        # row's label, and a finite wd gives |phi wd| <= k nL
+        if not np.all(np.isfinite(wd)):
+            raise ValueError("non-finite values in diffused indicator")
+        for lo, hi in zip(bounds, bounds[1:]):
+            np.argmax(phi[lo:hi] @ wd, axis=1, out=new[lo:hi])
         iterations += 1
         moved = np.flatnonzero(new != labels)
-        u[moved, labels[moved]] = 0.0
-        u[moved, new[moved]] = 1.0
-        labels = new
+        labels, new = new, labels
         if math.sqrt(2.0 * moved.size) < config.tol:
             converged = True
             break
-    part = Partition(labels + 1, init.n_c)
+        if iterations < config.max_iter:
+            _move(w, phi, moved, step, labels, new)
+    part = Partition(labels + 1, n_c)
     q = metrics.multiplex_modularity(part, net, deg, config.gamma)
     return RunResult(part, q, iterations, converged, run_index)
 

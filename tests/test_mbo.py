@@ -1,6 +1,7 @@
 """Threshold dynamics: diffusion, thresholding, runs, restarts."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,7 @@ from mpxmbo import (
     shifted_neg_lk_op,
     threshold,
 )
+from mpxmbo import mbo
 from mpxmbo.mbo import run_rng
 
 from conftest import (
@@ -251,11 +253,21 @@ def planted():
 @pytest.mark.parametrize("method", ["mpbtv", "dgfm3"])
 @pytest.mark.parametrize(
     "case,gamma,n_c,k",
-    [("florentine", 0.6, 3, 6), ("two_triangles", 1.0, 2, 3), ("planted", 1.0, 4, 12)],
+    [
+        ("florentine", 0.6, 3, 6),
+        ("two_triangles", 1.0, 2, 3),
+        ("planted", 1.0, 4, 12),
+        ("florentine", 0.6, 34, 6),
+    ],
 )
-def test_mbo_run_equals_public_steps(request, case, gamma, n_c, k, method):
+def test_mbo_run_equals_public_steps(request, monkeypatch, case, gamma, n_c, k, method):
     net, deg = request.getfixturevalue(case)
     basis = basis_for_method(method, net, deg, gamma, k, rng_seed=2)
+    # one row block per run, then blocks of at least 2, 3 and 5 rows (and
+    # moved-row updates of at most as many): Florentine (nL = 34) in rows
+    # of 3 and two triangles (nL = 6) in rows of 5 would leave a last block
+    # of one row
+    blocks = [mbo._BLOCK] + [rows * max(n_c, k) for rows in (2, 3, 5)]
     budget_stops = 0
     # no sweep, a budget of two, the default, and a tolerance that accepts
     # a sweep which still moves up to three labels
@@ -263,16 +275,39 @@ def test_mbo_run_equals_public_steps(request, case, gamma, n_c, k, method):
         config = DetectConfig(method=method, n_c=n_c, k=k, gamma=gamma, **extra)
         for i in range(4):
             init = random_onehot_init(net.nL, n_c, run_rng(7, i))
-            res = mbo_run(basis, config, init, net, deg, run_index=i)
             part, iterations, converged, q = reference_run(basis, config, init, net, deg)
-            assert res.partition.assignment.dtype == part.assignment.dtype
-            assert res.partition.assignment.tobytes() == part.assignment.tobytes()
-            assert res.partition.n_c == part.n_c
-            assert (res.iterations, res.converged) == (iterations, converged)
-            assert res.modularity == q
+            for block in blocks:
+                monkeypatch.setattr(mbo, "_BLOCK", block)
+                res = mbo_run(basis, config, init, net, deg, run_index=i)
+                assert res.partition.assignment.dtype == part.assignment.dtype
+                assert res.partition.assignment.tobytes() == part.assignment.tobytes()
+                assert res.partition.n_c == part.n_c
+                assert (res.iterations, res.converged) == (iterations, converged)
+                assert res.modularity == q
             budget_stops += iterations == config.max_iter > 0 and not converged
     if case == "planted":
         assert budget_stops > 0
+
+
+@pytest.mark.parametrize("n_c", [400, 2000])
+def test_mbo_run_memory_bounded(n_c):
+    # a run holds its labels, the k x n_c coefficients and one row block of
+    # products and of label changes, never an nL x n_c indicator
+    net = planted_network(np.random.default_rng(31), 500, 4, 4)
+    deg = compute_degrees(net)
+    nL, k = net.nL, 8
+    basis = basis_for_method("dgfm3", net, deg, 1.0, k, rng_seed=1)
+    config = DetectConfig(method="dgfm3", n_c=n_c, k=k)
+    init = random_onehot_init(nL, n_c, run_rng(1, 0))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        res = mbo_run(basis, config, init, net, deg)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert res.iterations > 1
+    assert peak <= 8 * (16 * nL + 4 * k * n_c + 2 * mbo._BLOCK)
 
 
 def test_nonfinite_eigenvector_is_rejected(florentine):

@@ -64,7 +64,13 @@ def _add_run_args(p):
     p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     p.add_argument("--max-iter", type=int, default=300, help="sweep budget per run")
     p.add_argument("--tol", type=float, default=1e-8, help="stopping tolerance on indicator change")
-    p.add_argument("--eig-tol", type=float, default=1e-8, help="eigensolver residual tolerance")
+    p.add_argument(
+        "--eig-tol",
+        type=float,
+        default=1e-8,
+        help="eigensolver residual tolerance; also the cut below which a basis row, "
+        "relative to the largest, is unreached and takes community 1",
+    )
     p.add_argument("--threads", type=int, default=1, help="worker threads for the runs")
 
 

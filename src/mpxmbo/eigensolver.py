@@ -1,9 +1,7 @@
 """Truncated eigendecompositions of symmetric operators.
 
 `largest_eigenpairs` computes the k algebraically largest eigenpairs of a
-symmetric LinearOperator.  Small operators (dim <= `_DENSE_CUTOFF` = 600) are
-solved directly with a dense decomposition, which resolves repeated
-eigenvalues exactly.  Larger ones use thick-restart Lanczos (Wu & Simon
+symmetric LinearOperator of any size by thick-restart Lanczos (Wu & Simon
 2000) with full reorthogonalization in a working subspace of
 m = min(dim, k + max(k, 15)) vectors: a plain step subtracts the
 three-term recurrence, then makes one full classical Gram-Schmidt pass;
@@ -64,9 +62,6 @@ METHODS = {"mpbtv": "shifted_neg_lk", "dgfm3": "modularity"}
 
 # restart budget of one thick-restart Lanczos sequence
 _MAX_RESTARTS = 500
-
-# largest dimension solved by a dense decomposition
-_DENSE_CUTOFF = 600
 
 
 class ConvergenceError(RuntimeError):
@@ -133,24 +128,6 @@ def _orthonormal_random(basis, ncols, rng, dim):
         if nrm > 1e-8 * math.sqrt(dim):
             return w / nrm
     return None
-
-
-def _dense_eigenpairs(op, k, tol, scale_floor):
-    """Direct dense solve used below the size cutoff.
-
-    Resolves repeated eigenvalues exactly, which a single Krylov
-    sequence cannot, and keeps structurally-zero eigenvector entries at
-    machine-epsilon size.
-    """
-    a = op.to_dense()
-    vals, vecs = np.linalg.eigh(a)
-    theta = np.ascontiguousarray(vals[::-1][:k])
-    ritz = np.ascontiguousarray(vecs[:, ::-1][:, :k])
-    resid = np.linalg.norm(a @ ritz - ritz * theta, axis=0)
-    scale = max(float(np.abs(vals).max()), scale_floor, np.finfo(float).tiny)
-    if not np.all(resid <= tol * scale):
-        raise ConvergenceError("dense eigendecomposition failed the residual check", resid)
-    return SpectralBasis(theta, ritz, resid, op.label)
 
 
 def _compress(V, s, ncols, keep):
@@ -277,16 +254,14 @@ def _hotelling(op, theta, x, scale):
 
 
 def largest_eigenpairs(op, k, tol=1e-8, rng_seed=0, scale_floor=0.0):
-    """Compute the k largest eigenpairs of a symmetric operator.
-
-    Problems with op.dim <= ``_DENSE_CUTOFF`` are solved densely, larger
-    ones by thick-restart Lanczos.
+    """Compute the k largest eigenpairs of a symmetric operator by
+    thick-restart Lanczos, then check for missed copies of repeated
+    eigenvalues by deflation.
 
     Parameters
     ----------
     op : LinearOperator
-        Must be symmetric; only ``apply`` is used (plus ``to_dense`` on
-        the dense path).
+        Must be symmetric; only ``apply`` is used.
     k : int
         Number of requested eigenpairs, 1 <= k < op.dim.
     tol : float
@@ -314,10 +289,8 @@ def largest_eigenpairs(op, k, tol=1e-8, rng_seed=0, scale_floor=0.0):
     dim = op.dim
     if not 1 <= k < dim:
         raise ValueError(f"need 1 <= k < dim, got k={k}, dim={dim}")
-    if rng_seed < 0:  # before the dense path, which draws nothing, so both paths reject it
+    if rng_seed < 0:
         raise ValueError("seed must be >= 0")
-    if dim <= _DENSE_CUTOFF:
-        return _dense_eigenpairs(op, k, tol, scale_floor)
     rng = np.random.default_rng(rng_seed)
     theta, ritz, resid, scale = _thick_restart(
         op, k, tol, scale_floor, rng, rng.standard_normal(dim)

@@ -4,11 +4,14 @@ One run alternates short diffusion in a truncated spectral basis with
 pointwise thresholding: U is a one-hot community indicator matrix,
 diffusion multiplies its basis coefficients by exp(dt * eigenvalue), and
 thresholding sends every row back to the nearest vertex of the simplex
-(row-wise argmax, ties to the smallest index).  The run stops when the
-indicator stops changing (Frobenius difference below tol) or after
-max_iter sweeps.  `detect` repeats this from independent random initial
-assignments and keeps the partition with the largest multiplex
-modularity.
+(row-wise argmax, ties to the smallest index).  The tie rule also covers
+a row of the basis that the eigensolver does not resolve, one whose norm
+is at most eig_tol times the largest row norm: no basis vector reaches
+it, so it takes the label of an all-zero row, community 1, and never the
+argmax of rounding residue.  The run stops when the indicator stops
+changing (Frobenius difference below tol) or after max_iter sweeps.
+`detect` repeats this from independent random initial assignments and
+keeps the partition with the largest multiplex modularity.
 
 A run never forms U.  It holds its 0-based labels and the k x n_c
 coefficients W = Phi^T U, built once from the initial labels.  Each
@@ -20,9 +23,10 @@ its new column and subtracted from its old one.  So a run takes
 O(nL + k n_c) memory plus one row block of about 2^16 entries, and its
 diffused values may differ by rounding from those of `diffusion_step`,
 which forms Phi^T U afresh; tests check the partitions against
-`diffusion_step` and `threshold` byte for byte.  The run's `Partition` is
-built once, at its end; `diffusion_step`, `threshold` and
-`Partition.one_hot` remain the public library steps.
+`diffusion_step` and `threshold`, with the same rule for unreached rows,
+byte for byte.  The run's `Partition` is built once, at its end;
+`diffusion_step`, `threshold` and `Partition.one_hot` remain the public
+library steps.
 
 Every run draws its initial assignment from a counter-based generator
 keyed by seed XOR run_index, so results are reproducible and independent
@@ -61,6 +65,9 @@ class DetectConfig:
     ``gamma`` may be a scalar or a per-layer sequence; the coupling
     strength is the network's own ``omega``.  ``seed`` keys both the
     eigensolver start vector and the per-run initial assignments.
+    ``eig_tol`` is the eigensolver's residual tolerance, and also the cut
+    below which a row of the basis is unreached: a row whose norm is at
+    most eig_tol times the largest row norm takes community 1.
     """
 
     method: str
@@ -205,6 +212,11 @@ def mbo_run(basis, config, init, net, deg, run_index=0):
     # by GEMV, whose sums round differently from the GEMM of the other blocks
     nblocks = max(1, nL // step)
     bounds = [nL * b // nblocks for b in range(nblocks + 1)]
+    # An eigenvector entry is known only to about eig_tol * scale / gap, so
+    # a row of phi whose norm is at most eig_tol times the largest row norm
+    # is rounding residue: it takes the tie rule's label of an all-zero row.
+    sq = np.einsum("ij,ij->i", phi, phi)  # squared row norms
+    unreached = np.flatnonzero(sq <= config.eig_tol**2 * sq.max())
     labels = (init.assignment - 1).astype(np.intp)
     new = np.empty_like(labels)
     w = np.zeros((k, n_c))
@@ -219,6 +231,7 @@ def mbo_run(basis, config, init, net, deg, run_index=0):
             raise ValueError("non-finite values in diffused indicator")
         for lo, hi in zip(bounds, bounds[1:]):
             np.argmax(phi[lo:hi] @ wd, axis=1, out=new[lo:hi])
+        new[unreached] = 0
         iterations += 1
         moved = np.flatnonzero(new != labels)
         labels, new = new, labels

@@ -48,10 +48,6 @@ class LinearOperator:
             out[:, j] = self._matvec(np.ascontiguousarray(x[:, j]))
         return out
 
-    def to_dense(self):
-        """Materialize by applying to the identity (small problems, tests)."""
-        return self.apply(np.eye(self.dim))
-
 
 def _adjacency(net, xl):
     """Supra-adjacency times x, as (L, n) arrays: blkdiag(A_l) plus the

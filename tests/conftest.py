@@ -73,6 +73,11 @@ def save_coupling(net, path):
 # ---------------------------------------------------------------- dense refs
 
 
+def to_dense(op):
+    """Materialize a LinearOperator by applying it to the identity."""
+    return op.apply(np.eye(op.dim))
+
+
 def dense_supra(net):
     """Supra-adjacency: intra blocks plus omega-scaled identity couplings."""
     n, L = net.n, net.L

@@ -14,7 +14,6 @@ from mpxmbo import (
     cli,
     compute_degrees,
     detect,
-    eigensolver,
     largest_eigenpairs,
     load_network,
     matched_accuracy,
@@ -33,6 +32,7 @@ from conftest import (
     random_gamma,
     random_network,
     random_partition,
+    to_dense,
 )
 
 FLORENTINE = "data/florentine.mpx"
@@ -113,7 +113,7 @@ def _cluster_slices(values, tol):
 
 def _lanczos_vs_dense(op, k, scale_floor, rng_seed):
     basis = largest_eigenpairs(op, k, tol=1e-10, scale_floor=scale_floor, rng_seed=rng_seed)
-    a = op.to_dense()
+    a = to_dense(op)
     vals, vecs = np.linalg.eigh(a)
     vals, vecs = vals[::-1], vecs[:, ::-1]
     scale = max(abs(vals[0]), abs(vals[-1]), scale_floor)
@@ -129,8 +129,7 @@ def _lanczos_vs_dense(op, k, scale_floor, rng_seed):
     return eig_err, sub_err
 
 
-def test_criterion_4_spectral_correctness(announce, monkeypatch):
-    monkeypatch.setattr(eigensolver, "_DENSE_CUTOFF", 0)  # Lanczos at every size
+def test_criterion_4_spectral_correctness(announce):
     rng = np.random.default_rng(303)
     worst_eig = worst_sub = 0.0
     min_ratio = np.inf  # lambda_min(L+K) / sigma over all trials
@@ -147,14 +146,14 @@ def test_criterion_4_spectral_correctness(announce, monkeypatch):
         worst_eig = max(worst_eig, e1, e2)
         worst_sub = max(worst_sub, s1, s2)
 
-        lk = sigma * np.eye(net.nL) - op_s.to_dense()  # Laplacian + balance
+        lk = sigma * np.eye(net.nL) - to_dense(op_s)  # Laplacian + balance
         lam_min = float(np.linalg.eigvalsh(lk)[0])
         min_ratio = min(min_ratio, lam_min / sigma)
         assert lam_min > 1e-8 * sigma  # connected, no fully isolated node
         lonely = isolate_node(net, node=int(rng.integers(0, n)))
         deg_l = compute_degrees(lonely)
         op_l, sigma_l = shifted_neg_lk_op(lonely, deg_l, gamma)
-        gap = sigma_l * np.eye(net.nL) - op_l.to_dense()
+        gap = sigma_l * np.eye(net.nL) - to_dense(op_l)
         lam_min_planted = float(np.linalg.eigvalsh(gap)[0])
         assert abs(lam_min_planted) <= 1e-10 * sigma_l
         min_ratio = min(min_ratio, lam_min_planted / sigma_l)
@@ -180,16 +179,16 @@ def test_criterion_5_exponential_truncation(announce):
         u = random_partition(rng, net.nL, 4).one_hot()
         for dt in (0.5, 1.0):
             op = modularity_op(net, deg, gamma)
-            vals, vecs = np.linalg.eigh(op.to_dense())
+            vals, vecs = np.linalg.eigh(to_dense(op))
             full = SpectralBasis(
                 vals[::-1].copy(), np.ascontiguousarray(vecs[:, ::-1]),
                 np.zeros(net.nL), op.label,
             )
-            ref = scipy.linalg.expm(dt * op.to_dense()) @ u
+            ref = scipy.linalg.expm(dt * to_dense(op)) @ u
             worst = max(worst, float(np.abs(diffusion_step(full, dt, u) - ref).max()))
 
             op_s, sigma = shifted_neg_lk_op(net, deg, gamma)
-            neg_lk = op_s.to_dense() - sigma * np.eye(net.nL)
+            neg_lk = to_dense(op_s) - sigma * np.eye(net.nL)
             vals, vecs = np.linalg.eigh(neg_lk)
             full = SpectralBasis(
                 vals[::-1].copy(), np.ascontiguousarray(vecs[:, ::-1]),

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpxmbo import cli, eigensolver, load_basis, load_network
+from mpxmbo import cli, load_basis, load_network
 
 from conftest import planted_network, save_network
 
@@ -470,7 +470,7 @@ def test_overflowing_weights_rejected_before_solving(capsys, tmp_path, command, 
 def test_partitions_stable_across_blas_threads(tmp_path):
     # the determinism contract: BLAS threads may move basis bits by rounding,
     # but partitions stay byte-identical; one process per thread setting
-    # runs every case, on the dense path (data/) and the iterative one
+    # runs every case
     planted = tmp_path / "planted.mpx"
     save_network(planted_network(np.random.default_rng(3), 400, 2, 4), planted)
     cases = [
@@ -646,7 +646,7 @@ def test_bad_thread_count_rejected(capsys, tmp_path, command, threads):
     assert stdout == "" and not out.exists()
 
 
-@pytest.mark.parametrize("cutoff", [600, 0])
+@pytest.mark.parametrize("seed", ["0", "600"])
 @pytest.mark.parametrize(
     "command",
     [
@@ -654,13 +654,13 @@ def test_bad_thread_count_rejected(capsys, tmp_path, command, threads):
         ["spectrum", "--operator", "mod", "--k", "4"],
     ],
 )
-def test_negative_seed_rejected_on_both_solver_paths(
-    capsys, monkeypatch, tmp_path, command, cutoff
-):
-    # Florentine (nL = 34) takes the dense path at the default cutoff and
-    # the iterative one at 0; both name the seed in the same error line
-    monkeypatch.setattr(eigensolver, "_DENSE_CUTOFF", cutoff)
+def test_negative_seed_rejected_on_both_solver_paths(capsys, tmp_path, command, seed):
+    # detect solves through the method basis, spectrum directly; each takes
+    # a seed >= 0 and rejects -1 with one error line, writing nothing
     out = tmp_path / "out.tsv"
+    rc, _, _ = run_cli(capsys, *command, "--input", FLORENTINE, "--seed", seed, "--out", str(out))
+    assert rc == 0 and out.exists()
+    out.unlink()
     rc, stdout, err = run_cli(
         capsys, *command, "--input", FLORENTINE, "--seed", "-1", "--out", str(out)
     )

@@ -27,12 +27,13 @@ from conftest import (
     planted_network,
     random_gamma,
     random_network,
+    to_dense,
 )
 
 
 def check_against_dense(op, basis, k, tol):
     """Eigenvalues match the dense top-k, columns orthonormal, residuals honest."""
-    a = op.to_dense()
+    a = to_dense(op)
     ref = np.linalg.eigvalsh(a)[::-1][:k]
     scale = max(np.abs(ref).max(), 1.0)
     assert np.abs(basis.eigenvalues - ref).max() <= 50 * tol * scale
@@ -44,19 +45,12 @@ def check_against_dense(op, basis, k, tol):
     assert np.all(true_resid <= 2 * tol * max(scale, 1.0) + 1e-12)
 
 
-@pytest.fixture(params=[600, 0])
-def dense_cutoff(request, monkeypatch):
-    """Each eigensolver path in turn: dense up to dim 600, then iterative only."""
-    monkeypatch.setattr(eigensolver, "_DENSE_CUTOFF", request.param)
+# start-vector seeds of the Lanczos solve
+START_SEEDS = [0, 600]
 
 
-@pytest.fixture
-def iterative(monkeypatch):
-    """The iterative path at any dim."""
-    monkeypatch.setattr(eigensolver, "_DENSE_CUTOFF", 0)
-
-
-def test_matches_dense_oracle(dense_cutoff):
+@pytest.mark.parametrize("seed", START_SEEDS)
+def test_matches_dense_oracle(seed):
     rng = np.random.default_rng(41)
     tol = 1e-9
     for _ in range(8):
@@ -65,18 +59,19 @@ def test_matches_dense_oracle(dense_cutoff):
         gamma = random_gamma(rng, net.L)
         k = int(rng.integers(2, min(8, net.nL)))
         op = modularity_op(net, deg, gamma)
-        basis = largest_eigenpairs(op, k, tol=tol)
+        basis = largest_eigenpairs(op, k, tol=tol, rng_seed=seed)
         check_against_dense(op, basis, k, tol)
         op_s, sigma = shifted_neg_lk_op(net, deg, gamma)
-        basis = largest_eigenpairs(op_s, k, tol=tol, scale_floor=sigma)
+        basis = largest_eigenpairs(op_s, k, tol=tol, rng_seed=seed, scale_floor=sigma)
         check_against_dense(op_s, basis, k, tol)
 
 
-def test_repeated_eigenvalues_all_copies_found(florentine, dense_cutoff):
+@pytest.mark.parametrize("seed", START_SEEDS)
+def test_repeated_eigenvalues_all_copies_found(florentine, seed):
     # the bottom of Laplacian + balance here holds a double zero; a naive
     # single-vector Krylov run returns only one copy
     net, deg = florentine
-    basis = basis_for_method("mpbtv", net, deg, 1.0, 4, tol=1e-10)
+    basis = basis_for_method("mpbtv", net, deg, 1.0, 4, tol=1e-10, rng_seed=seed)
     lk = dense_laplacian(net) + dense_balance(net, np.array([1.0, 1.0]))
     ref = -np.linalg.eigvalsh(lk)[:4]
     assert np.abs(basis.eigenvalues - ref).max() <= 1e-7
@@ -84,7 +79,7 @@ def test_repeated_eigenvalues_all_copies_found(florentine, dense_cutoff):
     assert basis.eigenvalues[2] <= -0.3
 
 
-def test_doubled_spectrum_all_copies_found(iterative):
+def test_doubled_spectrum_all_copies_found():
     # kron(I2, B) holds every eigenvalue of B twice; a single Krylov
     # sequence sees one copy of each, so the second copies of the top two
     # have to come from the deflation check
@@ -100,7 +95,7 @@ def test_doubled_spectrum_all_copies_found(iterative):
 @pytest.mark.parametrize("seed", [0, 2])
 def test_identical_layers_mpbtv_all_copies_found(seed):
     # two identical uncoupled layers double every eigenvalue of the
-    # supra operator; nL = 640 takes the iterative path
+    # supra operator
     n = 320
     rng = np.random.default_rng(seed)
     e = rng.integers(0, n, size=(4 * n, 2))
@@ -116,7 +111,7 @@ def test_identical_layers_mpbtv_all_copies_found(seed):
     assert np.abs(basis.eigenvalues - ref).max() <= 1e-6
 
 
-def test_deflation_check_stops_at_its_answer(monkeypatch, iterative):
+def test_deflation_check_stops_at_its_answer(monkeypatch):
     # a planted spectrum without repeated eigenvalues: the exit check only
     # has to see that the deflated operator's top lies below theta_k, which
     # one Krylov fill (m = 16 matvecs at k = 1) settles
@@ -159,7 +154,7 @@ def _planted(operator):
 
 
 @pytest.mark.parametrize("case", ["mod", "lk", "kron3"])
-def test_ritz_vectors_stay_orthonormal(case, iterative):
+def test_ritz_vectors_stay_orthonormal(case):
     # plain Lanczos steps orthogonalize with one full Gram-Schmidt pass
     # after the three-term recurrence; the basis must stay orthonormal
     op, k, floor = _kron3_clustered() if case == "kron3" else _planted(case)
@@ -174,7 +169,7 @@ def test_ritz_vectors_stay_orthonormal(case, iterative):
 
 
 @pytest.mark.parametrize("case", ["mod", "kron3"])
-def test_solve_memory_bounded_by_basis(case, iterative):
+def test_solve_memory_bounded_by_basis(case):
     # beside the Krylov basis V (dim x (m + 1)) and the returned Ritz block
     # (dim x k) the solve holds O(dim) work vectors and the m x m projected
     # problem; kron3 also resumes after a missed copy, from the found block
@@ -215,11 +210,12 @@ def test_basis_for_method_rejects_unknown(florentine):
         basis_for_method("louvain", net, deg, 1.0, 3)
 
 
-def test_deterministic_given_seed(florentine, dense_cutoff):
+@pytest.mark.parametrize("seed", START_SEEDS)
+def test_deterministic_given_seed(florentine, seed):
     net, deg = florentine
     op = modularity_op(net, deg, np.array([1.0, 1.0]))
-    a = largest_eigenpairs(op, 5, rng_seed=3)
-    b = largest_eigenpairs(op, 5, rng_seed=3)
+    a = largest_eigenpairs(op, 5, rng_seed=seed)
+    b = largest_eigenpairs(op, 5, rng_seed=seed)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert np.array_equal(a.eigenvectors, b.eigenvectors)
     assert np.array_equal(a.residuals, b.residuals)
@@ -233,7 +229,7 @@ def test_k_out_of_range(florentine):
             largest_eigenpairs(op, bad)
 
 
-def test_unreachable_tolerance_raises(florentine, iterative):
+def test_unreachable_tolerance_raises(florentine):
     net, deg = florentine
     op = modularity_op(net, deg, np.array([1.0, 1.0]))
     with pytest.raises(ConvergenceError) as info:
@@ -242,12 +238,12 @@ def test_unreachable_tolerance_raises(florentine, iterative):
     assert np.all(info.value.residuals >= 0)
 
 
-def test_residuals_certified_not_assumed(florentine, iterative):
+def test_residuals_certified_not_assumed(florentine):
     net, deg = florentine
     op = modularity_op(net, deg, np.array([1.0, 1.0]))
     tol = 1e-9
     basis = largest_eigenpairs(op, 6, tol=tol)
-    scale = np.abs(np.linalg.eigvalsh(op.to_dense())).max()
+    scale = np.abs(np.linalg.eigvalsh(to_dense(op))).max()
     assert np.all(basis.residuals <= tol * scale)
     recomputed = np.linalg.norm(
         op.apply(basis.eigenvectors) - basis.eigenvectors * basis.eigenvalues, axis=0
@@ -286,15 +282,7 @@ def florentine_op(florentine):
     return modularity_op(net, deg, np.array([1.0, 1.0]))
 
 
-def test_dense_residual_check_raises(florentine):
-    # no rounded residual is within 1e-300 of the spectral radius
-    message = "^dense eigendecomposition failed the residual check$"
-    with pytest.raises(ConvergenceError, match=message) as info:
-        largest_eigenpairs(florentine_op(florentine), 4, tol=1e-300)
-    assert info.value.residuals.shape == (4,)
-
-
-def test_tolerance_unreachable_in_the_full_space(florentine, iterative):
+def test_tolerance_unreachable_in_the_full_space(florentine):
     # k = dim - 1 makes the working subspace the whole space, so the Krylov
     # basis runs out of directions before the residuals reach 1e-300
     op = florentine_op(florentine)
@@ -304,7 +292,7 @@ def test_tolerance_unreachable_in_the_full_space(florentine, iterative):
     assert info.value.residuals.shape == (op.dim - 1,)
 
 
-def test_copies_still_missing_after_k_deflation_checks(florentine, iterative, monkeypatch):
+def test_copies_still_missing_after_k_deflation_checks(florentine, monkeypatch):
     # a deflated operator lifted by 1e3 has its top above thr at every check
     def lifted(op, theta, x, scale):
         return LinearOperator(op.dim, lambda v: op.apply(v) + 1e3 * v, op.label)
@@ -317,10 +305,17 @@ def test_copies_still_missing_after_k_deflation_checks(florentine, iterative, mo
     assert info.value.residuals.shape == (3,)
 
 
-def test_negative_seed_rejected_on_both_paths(florentine, dense_cutoff):
-    # the dense path draws no start vector, and must reject the seed alike
+@pytest.mark.parametrize("seed", START_SEEDS)
+def test_negative_seed_rejected_on_both_paths(florentine, seed):
+    # the direct solve and the method basis take a seed >= 0 and reject -1
+    net, deg = florentine
+    op = florentine_op(florentine)
+    assert largest_eigenpairs(op, 4, rng_seed=seed).eigenvalues.shape == (4,)
+    assert basis_for_method("dgfm3", net, deg, 1.0, 4, rng_seed=seed).eigenvalues.shape == (4,)
     with pytest.raises(ValueError, match="^seed must be >= 0$"):
-        largest_eigenpairs(florentine_op(florentine), 4, rng_seed=-1)
+        largest_eigenpairs(op, 4, rng_seed=-1)
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        basis_for_method("dgfm3", net, deg, 1.0, 4, rng_seed=-1)
 
 
 def test_save_load_round_trip(tmp_path, florentine):

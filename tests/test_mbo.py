@@ -33,12 +33,13 @@ from conftest import (
     from_dense_layers,
     planted_network,
     random_network,
+    to_dense,
 )
 
 
 def full_basis(op, shift=0.0):
     """Exact complete decomposition, for exponential comparisons."""
-    vals, vecs = np.linalg.eigh(op.to_dense())
+    vals, vecs = np.linalg.eigh(to_dense(op))
     return SpectralBasis(
         vals[::-1].copy(), np.ascontiguousarray(vecs[:, ::-1]), np.zeros(op.dim), op.label, shift
     )
@@ -128,11 +129,11 @@ def test_full_basis_diffusion_matches_expm():
         u = random_onehot_init(net.nL, 4, rng).one_hot()
         for dt in (0.3, 1.0):
             op = modularity_op(net, deg, gamma)
-            ref = scipy.linalg.expm(dt * op.to_dense()) @ u
+            ref = scipy.linalg.expm(dt * to_dense(op)) @ u
             got = diffusion_step(full_basis(op), dt, u)
             worst = max(worst, np.abs(got - ref).max())
             op_s, sigma = shifted_neg_lk_op(net, deg, gamma)
-            neg_lk = op_s.to_dense() - sigma * np.eye(net.nL)
+            neg_lk = to_dense(op_s) - sigma * np.eye(net.nL)
             basis = full_basis(op_s, shift=sigma)
             unshifted = SpectralBasis(
                 basis.eigenvalues - sigma, basis.eigenvectors, basis.residuals, op_s.label, sigma
@@ -229,12 +230,17 @@ def test_two_triangles_separating_inits_reach_half(two_triangles):
 
 def reference_run(basis, config, init, net, deg):
     """The runs loop spelled out with the public steps: a fresh one-hot
-    indicator from a Partition, and a thresholded Partition, every sweep."""
+    indicator from a Partition, and a thresholded Partition, every sweep.
+    A row of the basis whose norm is at most eig_tol times the largest row
+    norm takes community 1, as an all-zero row would."""
     top = max(float(basis.eigenvalues[0]), 0.0)
     basis = replace(basis, eigenvalues=basis.eigenvalues - top)
+    norms = np.linalg.norm(basis.eigenvectors, axis=1)
+    unreached = norms <= config.eig_tol * norms.max()
     part, iterations, converged = init, 0, False
     for _ in range(config.max_iter):
         new = threshold(diffusion_step(basis, config.dt, part.one_hot()))
+        new = Partition(np.where(unreached, 1, new.assignment), new.n_c)
         iterations += 1
         moved = int(np.count_nonzero(new.assignment != part.assignment))
         part = new
@@ -287,6 +293,22 @@ def test_mbo_run_equals_public_steps(request, monkeypatch, case, gamma, n_c, k, 
             budget_stops += iterations == config.max_iter > 0 and not converged
     if case == "planted":
         assert budget_stops > 0
+
+
+def test_unreached_rows_do_not_follow_rounding(florentine):
+    # the two families isolated in both layers give four node-layer pairs
+    # that none of the top 7 eigenvectors reaches: their rows of Phi are
+    # rounding residue, which noise of size 1e-12 replaces
+    net, deg = florentine
+    config = DetectConfig(method="dgfm3", n_c=3, k=7, gamma=0.6, n_runs=50, seed=7)
+    basis = basis_for_method("dgfm3", net, deg, 0.6, 7, rng_seed=7)
+    noise = 1e-12 * np.random.default_rng(1).standard_normal(basis.eigenvectors.shape)
+    noisy = replace(basis, eigenvectors=basis.eigenvectors + noise)
+    best = detect(net, deg, config, basis=basis).best
+    again = detect(net, deg, config, basis=noisy).best
+    assert best.partition.assignment.tobytes() == again.partition.assignment.tobytes()
+    assert np.all(best.partition.assignment[[11, 16, 28, 33]] == 1)
+    assert best.modularity >= 0.671
 
 
 @pytest.mark.parametrize("n_c", [400, 2000])

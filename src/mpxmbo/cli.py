@@ -71,7 +71,7 @@ def _add_run_args(p):
         help="eigensolver residual tolerance; also the cut below which a basis row, "
         "relative to the largest, is unreached and takes community 1",
     )
-    p.add_argument("--threads", type=int, default=1, help="worker threads for the runs")
+    p.add_argument("--threads", type=int, default=1, help="worker threads, at most the CPU count")
 
 
 def build_parser():

@@ -36,6 +36,7 @@ of execution order; running with a thread pool changes timings only.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -259,8 +260,8 @@ def detect(net, deg, config, basis=None, threads=1):
         When omitted, the basis is computed here and the time reported as
         ``offline_seconds``.
     threads : int
-        Worker threads for the runs, at least 1.  Results are identical
-        for any value; only timings change.
+        Worker threads for the runs, at least 1; at most the CPU count are
+        started.  Results are identical for any value; only timings change.
 
     Returns
     -------
@@ -302,8 +303,10 @@ def detect(net, deg, config, basis=None, threads=1):
         return mbo_run(basis, config, init, net, deg, run_index=i)
 
     t1 = time.perf_counter()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    # the pool starts a thread per submit while none is idle, so cap it
+    workers = min(threads, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(one_run, range(config.n_runs)))
     else:
         results = [one_run(i) for i in range(config.n_runs)]

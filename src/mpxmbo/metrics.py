@@ -10,10 +10,12 @@ with 2mu the total strength of the supra graph.  `multiplex_modularity`
 evaluates exactly this grouped expression (one division at the end).
 
 Each term is built once: `_penalties` gives each layer's volume penalty
-and `_coupled` the coupled layer pairs, for modularity, the TV objective
-and the dense matrix alike; `_overlaps` gives the non-empty cells of the
+and `_coupled` the coupled layer pairs, for modularity and the TV
+objective alike; `_overlaps` gives the non-empty cells of the
 contingency table, which `nmi` and `matched_accuracy` both read, so both
-truth scores take O(nL) memory whatever the n_c.
+truth scores take O(nL) memory whatever the n_c.  The oracle scores the
+matrix of the solver's own `operators.modularity_op`, so the supra
+modularity matrix has one definition in the package.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 
 from . import _kernels
 from .network import Partition, gamma_vector
+from .operators import modularity_op
 
 __all__ = [
     "EvalReport",
@@ -204,30 +207,15 @@ def matched_accuracy(detected, truth):
     return correct / detected.size, matching
 
 
-def _dense_modularity_matrix(net, deg, gamma):
-    """Assemble the supra modularity matrix directly from definitions."""
-    gamma = gamma_vector(gamma, net.L)
-    n, L = net.n, net.L
-    S = np.zeros((n * L, n * L))
-    for l, a in enumerate(net.intra):
-        block = a.toarray()
-        if deg.layer_strengths[l] > 0:
-            d = deg.intra_degrees[l]
-            block = block - (gamma[l] / deg.layer_strengths[l]) * np.outer(d, d)
-        S[l * n : (l + 1) * n, l * n : (l + 1) * n] = block
-    idx = np.arange(n)
-    for k, l, w in _coupled(net):
-        S[k * n + idx, l * n + idx] = w
-    return S
-
-
 def oracle_max_modularity(net, deg, gamma, n_c):
     """Global maximum of multiplex modularity over partitions into <= n_c groups.
 
     Scores every canonical label assignment (label permutations are
-    visited once), with no bounding or pruning: prefixes are grown level
-    by level, and each block of them is scored against one table of all
-    n_c**b suffixes, b < nL the longest with n_c**b <= 4096
+    visited once) against the matrix of `modularity_op`, applied to the
+    identity and mirrored from its upper triangle, with no bounding or
+    pruning: prefixes are grown level by level, and each block of them
+    is scored against one table of all n_c**b suffixes, b < nL the
+    longest with n_c**b <= 4096
     (``_kernels.enumerate_partitions``).  Instances with n_c**nL beyond
     10**7 are rejected, so a level holds at most 1024 prefixes and memory
     does not grow with nL.  The returned modularity is recomputed from the
@@ -247,7 +235,10 @@ def oracle_max_modularity(net, deg, gamma, n_c):
     if n_c == 1:
         part = Partition(np.ones(nL, dtype=np.int64), 1)
         return multiplex_modularity(part, net, deg, gamma), part
-    S = _dense_modularity_matrix(net, deg, gamma)
+    # the rank-one term rounds as (c d_j) d_i, so S is mirrored from its upper
+    # triangle, the half that enumerate_partitions reads
+    S = np.triu(modularity_op(net, deg, gamma).apply(np.eye(nL)))
+    S += np.triu(S, 1).T
     _, labels0 = _kernels.enumerate_partitions(S, n_c)
     part = Partition(labels0 + 1, n_c)
     return multiplex_modularity(part, net, deg, gamma), part

@@ -123,11 +123,6 @@ class SparseSym:
     def nnz(self):
         return self.data.size
 
-    def toarray(self):
-        a = np.zeros((self.n, self.n))
-        a[self.rows, self.cols] = self.data
-        return a
-
     def row_sums(self):
         if self.nnz == 0:
             return np.zeros(self.n)

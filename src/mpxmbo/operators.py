@@ -35,7 +35,8 @@ class LinearOperator:
         self._matvec = matvec
 
     def apply(self, x):
-        """Apply to a vector (nL,) or to the columns of a matrix (nL, m)."""
+        """Apply to a vector (nL,) or to the columns of a matrix (nL, m); the
+        solver applies vectors, the exhaustive oracle the identity."""
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.shape[0] != self.dim:
             raise ValueError(f"operand has leading dimension {x.shape[0]}, expected {self.dim}")

@@ -1,9 +1,10 @@
 """Shared fixtures, test-only builders and independent references.
 
 The dense builders assemble supra matrices directly from definitions with
-plain numpy, so operator/eigensolver tests compare against arithmetic
-that shares no code with the package internals; the literal double sum
-of modularity and the dense truth scores do the same for
+plain numpy (`toarray` gives a layer's dense matrix), so operator,
+eigensolver and oracle tests compare against arithmetic that shares no
+code with the package internals; the literal double sum of modularity
+over `dense_modularity` and the dense truth scores do the same for
 `multiplex_modularity`, `nmi` and `matched_accuracy`, and the line-loop
 loaders for the four file loaders.  The network builders and writers
 (dense layers in, canonical files out) and the file generators serve
@@ -23,8 +24,8 @@ from mpxmbo import (
     SparseSym,
     all_to_all_coupling,
     compute_degrees,
+    gamma_vector,
     load_network,
-    metrics,
 )
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -73,6 +74,13 @@ def save_coupling(net, path):
 # ---------------------------------------------------------------- dense refs
 
 
+def toarray(a):
+    """Dense n x n matrix of a SparseSym."""
+    out = np.zeros((a.n, a.n))
+    out[a.rows, a.cols] = a.data
+    return out
+
+
 def to_dense(op):
     """Materialize a LinearOperator by applying it to the identity."""
     return op.apply(np.eye(op.dim))
@@ -83,7 +91,7 @@ def dense_supra(net):
     n, L = net.n, net.L
     a = np.zeros((n * L, n * L))
     for l in range(L):
-        a[l * n : (l + 1) * n, l * n : (l + 1) * n] = net.intra[l].toarray()
+        a[l * n : (l + 1) * n, l * n : (l + 1) * n] = toarray(net.intra[l])
     eye = np.eye(n)
     for p in range(L):
         for q in range(L):
@@ -104,7 +112,7 @@ def dense_balance(net, gamma):
     n, L = net.n, net.L
     k = np.zeros((n * L, n * L))
     for l in range(L):
-        d = net.intra[l].toarray().sum(axis=1)
+        d = toarray(net.intra[l]).sum(axis=1)
         s = d.sum()  # 2 m_l
         if s > 0:
             k[l * n : (l + 1) * n, l * n : (l + 1) * n] = (
@@ -118,7 +126,7 @@ def dense_modularity(net, gamma):
     m = dense_supra(net)
     n = net.n
     for l in range(net.L):
-        d = net.intra[l].toarray().sum(axis=1)
+        d = toarray(net.intra[l]).sum(axis=1)
         s = d.sum()
         if s > 0:
             m[l * n : (l + 1) * n, l * n : (l + 1) * n] -= (gamma[l] / s) * np.outer(d, d)
@@ -131,7 +139,7 @@ def dense_sigma(net, gamma):
     supra_deg = a.sum(axis=1)
     parts = []
     for l in range(net.L):
-        d = net.intra[l].toarray().sum(axis=1)
+        d = toarray(net.intra[l]).sum(axis=1)
         parts.append(2.0 * supra_deg[l * net.n : (l + 1) * net.n] + 2.0 * gamma[l] * d)
     return float(np.max(np.concatenate(parts)))
 
@@ -146,15 +154,15 @@ def dense_modularity_value(partition, net, gamma):
 
 def multiplex_modularity_sumform(partition, net, deg, gamma):
     """Literal double sum over node-layer pairs (quadratic): the same-community
-    entries of the dense supra modularity matrix that the oracle also scores,
-    summed and divided by 2mu, so its arithmetic is independent of the
-    grouped evaluation in `multiplex_modularity`."""
+    entries of `dense_modularity`, summed and divided by 2mu, so it shares
+    neither the grouped evaluation of `multiplex_modularity` nor the operator
+    whose matrix the oracle scores."""
     if deg.total_strength <= 0:
         raise ValueError("modularity undefined: total strength is zero")
     if partition.size != net.nL:
         raise ValueError("partition size does not match network")
     lab = partition.assignment
-    S = metrics._dense_modularity_matrix(net, deg, gamma)
+    S = dense_modularity(net, gamma_vector(gamma, net.L))
     return float(S[lab[:, None] == lab[None, :]].sum()) / deg.total_strength
 
 
@@ -441,7 +449,7 @@ def isolate_node(net, node):
     """Copy of net with one physical node stripped of all intra edges."""
     layers = []
     for l in range(net.L):
-        a = net.intra[l].toarray()
+        a = toarray(net.intra[l])
         a[node, :] = 0.0
         a[:, node] = 0.0
         layers.append(a)

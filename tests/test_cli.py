@@ -13,7 +13,7 @@ import pytest
 
 from mpxmbo import cli, load_basis, load_network
 
-from conftest import planted_network, save_network
+from conftest import planted_network, save_network, toarray
 
 FLORENTINE = "data/florentine.mpx"
 TRIANGLES = "data/two_triangles.mpx"
@@ -202,7 +202,7 @@ def test_spectrum_matches_dense_and_writes_file(capsys, tmp_path):
     assert rc == 0
     got = [float(line.split("\t")[1]) for line in out.splitlines() if "\t" in line]
     net = load_network(TRIANGLES, omega=0.0)
-    a = net.intra[0].toarray()
+    a = toarray(net.intra[0])
     d = a.sum(axis=1)
     m = a - np.outer(d, d) / d.sum()
     ref = np.linalg.eigvalsh(m)[::-1][:5]

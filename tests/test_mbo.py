@@ -1,6 +1,7 @@
 """Threshold dynamics: diffusion, thresholding, runs, restarts."""
 
 import math
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -376,6 +377,39 @@ def test_detect_threads_do_not_change_results(florentine):
     for a, b in zip(seq.runs, par.runs):
         assert np.array_equal(a.partition.assignment, b.partition.assignment)
         assert a.modularity == b.modularity
+
+
+def test_detect_starts_at_most_the_cpu_count(monkeypatch, two_triangles):
+    # the pool would start a thread per run while none is idle; a fake pool
+    # records its size and maps in this thread, so no thread is started
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(mbo, "ThreadPoolExecutor", FakePool)
+    net, deg = two_triangles
+    config = DetectConfig(method="dgfm3", n_c=2, k=2, n_runs=5, seed=4)
+    seq = detect(net, deg, config, threads=1)
+    # one CPU, or an unknown count, takes the sequential path: no pool at all
+    for cpus, want in ((3, [3]), (1, []), (None, [])):
+        sizes.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        out = detect(net, deg, config, threads=10**6)
+        assert sizes == want
+        for a, b in zip(seq.runs, out.runs, strict=True):
+            assert np.array_equal(a.partition.assignment, b.partition.assignment)
+            assert a.modularity == b.modularity
 
 
 def test_detect_rejects_bad_thread_count(two_triangles):

@@ -33,6 +33,7 @@ from conftest import (
     random_partition,
     reference_matched_accuracy,
     reference_nmi,
+    toarray,
 )
 
 
@@ -400,20 +401,36 @@ def test_oracle_degenerate_and_oversized():
 
 
 def test_oracle_matches_full_enumeration():
-    # canonical-label pruning must not change the maximum
+    # canonical-label pruning must not change the maximum; nL <= 8 throughout.
+    # The fixed instances have an edgeless layer (no null-model term) or
+    # omega = 0 (no coupling).
     rng = np.random.default_rng(67)
+    cases = []
     for _ in range(5):
         net = random_network(rng, n_max=4, l_max=2)
+        cases.append((net, random_gamma(rng, net.L)))
+    path = np.diag([1.0, 2.5, 0.5], 1)
+    star = np.zeros((4, 4))
+    star[0, 1:] = (1.0, 3.0, 0.75)
+    path, star = path + path.T, star + star.T
+    for layers, omega in (
+        ([path, np.zeros((4, 4))], 0.5),
+        ([path, star], 0.0),
+        ([np.zeros((4, 4)), star], 1.5),
+    ):
+        cases.append((from_dense_layers(layers, omega=omega), (0.8, 1.3)))
+    for net, gamma in cases:
         deg = compute_degrees(net)
         if deg.total_strength <= 0:
             continue
-        gamma = random_gamma(rng, net.L)
-        q_oracle, _ = oracle_max_modularity(net, deg, gamma, 2)
-        brute = max(
-            multiplex_modularity(Partition(np.array(lab, dtype=np.int64), 2), net, deg, gamma)
-            for lab in itertools.product((1, 2), repeat=net.nL)
-        )
-        assert q_oracle == pytest.approx(brute, abs=1e-14)
+        for n_c in (2, 3):
+            q_oracle, part = oracle_max_modularity(net, deg, gamma, n_c)
+            brute = max(
+                multiplex_modularity(Partition(np.array(lab, dtype=np.int64), n_c), net, deg, gamma)
+                for lab in itertools.product(range(1, n_c + 1), repeat=net.nL)
+            )
+            assert q_oracle == pytest.approx(brute, abs=1e-14)
+            assert multiplex_modularity(part, net, deg, gamma) == pytest.approx(brute, abs=1e-14)
 
 
 def test_oracle_dominates_detect():
@@ -542,7 +559,7 @@ def test_label_edge_sums_match_dense_mask(florentine):
     layers = list(net.intra) + [layer for _ in range(3) for layer in random_network(rng).intra]
     for a in layers:
         lab = rng.integers(1, 4, size=a.n)
-        dense = a.toarray()
+        dense = toarray(a)
         mask = np.equal.outer(lab, lab)
         same = _kernels.label_edge_sums(a.rows, a.cols, a.data, lab)
         cross = _kernels.label_edge_sums(a.rows, a.cols, a.data, lab, cross=True)

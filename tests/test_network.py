@@ -35,6 +35,7 @@ from conftest import (
     reference_load_partition,
     save_coupling,
     save_network,
+    toarray,
 )
 
 
@@ -47,7 +48,7 @@ def write(tmp_path, name, text):
 def test_single_edge_parsed_symmetrically(tmp_path):
     path = write(tmp_path, "a.mpx", "#multiplex n=2 L=1\n1\t1\t2\t1.0\n")
     net = load_network(path, omega=0.0)
-    a = net.intra[0].toarray()
+    a = toarray(net.intra[0])
     assert a[0, 1] == 1.0 and a[1, 0] == 1.0
     assert a[0, 0] == 0.0 and a[1, 1] == 0.0
 
@@ -55,7 +56,7 @@ def test_single_edge_parsed_symmetrically(tmp_path):
 def test_missing_weight_defaults_to_one(tmp_path):
     path = write(tmp_path, "a.mpx", "#multiplex n=2 L=1\n1\t1\t2\n")
     net = load_network(path, omega=0.0)
-    assert net.intra[0].toarray()[0, 1] == 1.0
+    assert toarray(net.intra[0])[0, 1] == 1.0
 
 
 def test_duplicate_edges_summed(tmp_path):
@@ -63,7 +64,7 @@ def test_duplicate_edges_summed(tmp_path):
         tmp_path, "a.mpx", "#multiplex n=2 L=1\n1\t1\t2\t0.5\n1\t2\t1\t0.5\n"
     )
     net = load_network(path, omega=0.0)
-    assert net.intra[0].toarray()[0, 1] == 1.0
+    assert toarray(net.intra[0])[0, 1] == 1.0
 
 
 def test_florentine_file_shape(florentine):
@@ -78,7 +79,7 @@ def test_intra_matrices_exactly_symmetric():
     for _ in range(10):
         net = random_network(rng)
         for layer in net.intra:
-            a = layer.toarray()
+            a = toarray(layer)
             assert np.array_equal(a, a.T)
             assert a.min() >= 0.0
 
@@ -154,7 +155,7 @@ def test_network_save_load_round_trip(tmp_path):
         back = load_network(path, omega=net.omega)
         assert (back.n, back.L) == (net.n, net.L)
         for a, b in zip(net.intra, back.intra):
-            assert np.array_equal(a.toarray(), b.toarray())
+            assert np.array_equal(toarray(a), toarray(b))
         assert np.array_equal(back.coupling, net.coupling)
 
 
@@ -846,7 +847,7 @@ def test_range_error_in_a_pipe_names_its_line(pipe_path):
 def test_token_loadtxt_refuses_reads_from_a_pipe(pipe_path):
     # loadtxt refuses 1_0, so the Python tokenizer reads the lines a second time
     net = load_network(pipe_path("#multiplex n=2 L=1\n1\t1\t2\t1_0\n"))
-    assert net.intra[0].toarray()[0, 1] == 10.0
+    assert toarray(net.intra[0])[0, 1] == 10.0
 
 
 def test_coupling_diagonal_entry_rejected(tmp_path):
@@ -943,4 +944,4 @@ def test_csr_matvec_matches_dense():
         for layer in net.intra:
             x = rng.standard_normal(net.n)
             got = _kernels.csr_matvec(layer.rows, layer.cols, layer.data, x, net.n)
-            assert np.allclose(got, layer.toarray() @ x, rtol=0, atol=1e-12)
+            assert np.allclose(got, toarray(layer) @ x, rtol=0, atol=1e-12)

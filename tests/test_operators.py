@@ -31,6 +31,7 @@ from conftest import (
     planted_network,
     random_gamma,
     random_network,
+    toarray,
 )
 
 
@@ -168,7 +169,7 @@ def test_adjacency_blockdiag_when_uncoupled():
     op = adjacency_part(net, compute_degrees(net))
     x = rng.standard_normal(net.nL)
     per_layer = np.concatenate(
-        [net.intra[l].toarray() @ x[l * net.n : (l + 1) * net.n] for l in range(net.L)]
+        [toarray(net.intra[l]) @ x[l * net.n : (l + 1) * net.n] for l in range(net.L)]
     )
     assert np.allclose(op.apply(x), per_layer, atol=1e-12)
 
@@ -260,7 +261,7 @@ def test_modularity_rows_vanish_at_unit_gamma():
 def test_modularity_two_triangles_dense(two_triangles):
     net, deg = two_triangles
     op = modularity_op(net, deg, np.array([1.0]))
-    a = net.intra[0].toarray()
+    a = toarray(net.intra[0])
     d = a.sum(axis=1)
     ref = a - np.outer(d, d) / d.sum()
     assert np.abs(op.apply(np.eye(6)) - ref).max() <= 1e-12

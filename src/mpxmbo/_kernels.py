@@ -54,13 +54,18 @@ def label_edge_sums(rows, cols, data, labels, cross=False):
 # lexicographic order, with their internal score and the smallest prefix
 # maximum label that keeps x y a restricted growth string.  Each block of
 # prefixes is then scored against the whole table:
-#     score(x y) = score(x) + internal(y) + 2 sum_q G[x, y_q, q],
-#     G[x, c, q] = sum_{i : x_i = c} S[i, a + q],
-# and the pairs that are not restricted growth strings get -inf.  Every
-# sum is a fixed sequence of elementwise adds (no BLAS), so the score of a
-# string depends neither on the block it is scored in nor on the number
-# of threads, and the first maximum of a block in row-major order is its
-# lexicographically first.
+#     score(x y) = (score(x) + internal(y)) + 2 cross(x, y),
+#     cross(x, y) = sum_q G[x, y_q, q],  G[x, c, q] = sum_{i : x_i = c} S[i, a + q].
+# Both suffix sums are built along the suffix tree: level q holds each
+# (y_0 .. y_q) once, in lexicographic order, and each entry is its
+# parent's sum plus one term.  So every sum starts at 0.0 and adds its
+# terms in position order, one elementwise add at a time (no BLAS):
+# the score of a string depends neither on the block it is scored in nor
+# on the number of threads, and the first maximum of a block in
+# row-major order is its lexicographically first.  cross is doubled only
+# at the end, since 2 G can overflow where the sum does not.  The pairs
+# that are not restricted growth strings get -inf; only a prefix whose
+# maximum label is below the table's largest requirement has any.
 
 
 def _extend(labels, maxl, score, S, n_c):
@@ -81,60 +86,64 @@ def _extend(labels, maxl, score, S, n_c):
 
 def _suffix_table(S, n_c, a):
     """Every suffix of positions a.. in lexicographic order: (labels,
-    internal score, smallest prefix maximum label that admits it, and per
-    position q the column of G[:, y_q, q] in G flattened to (rows, n_c * b))."""
+    internal score, smallest prefix maximum label that admits it), both
+    sums extended level by level along the suffix tree."""
     b = S.shape[0] - a
-    y = np.arange(n_c**b)[:, None] // n_c ** np.arange(b - 1, -1, -1) % n_c
-    internal = np.zeros(len(y))
-    need = np.zeros(len(y), dtype=np.int64)
-    top = np.full(len(y), -1)
+    y = np.indices((n_c,) * b).reshape(b, n_c**b)  # y[q] = y_q of each suffix
+    internal = np.zeros(1)
+    need = np.zeros(1, dtype=np.int64)
     for q in range(b):
         p = a + q
-        same = np.zeros(len(y))
+        z = y[:, :: n_c ** (b - 1 - q)]  # each (y_0 .. y_q) once
+        same = np.zeros(z.shape[1])
         for r in range(q):
-            same += np.where(y[:, r] == y[:, q], S[a + r, p], 0.0)
-        internal += S[p, p] + 2.0 * same
+            same += np.where(z[r] == z[q], S[a + r, p], 0.0)
+        internal = np.repeat(internal, n_c) + (S[p, p] + 2.0 * same)
         # a label more than one above the suffix's own maximum so far must
         # be covered by the prefix: max(x) >= y_q - 1
-        need = np.maximum(need, np.where(y[:, q] > top + 1, y[:, q] - 1, 0))
-        top = np.maximum(top, y[:, q])
-    return y, internal, need, np.ascontiguousarray((y * b + np.arange(b)).T)
+        top = z[:q].max(axis=0, initial=-1)
+        need = np.maximum(np.repeat(need, n_c), np.where(z[q] > top + 1, z[q] - 1, 0))
+    return y.T, internal, need
 
 
 def _best_completion(labels, maxl, score, S, n_c, table):
     """First maximum, in lexicographic order, over each prefix followed by
     each suffix it admits: (value, prefix, suffix index).
 
-    The prefixes are scored in blocks of about 16 * _CHUNK strings.
+    G is built once; the prefixes are scored in blocks of about 16 * _CHUNK
+    strings, each block's cross term grown between two block-sized buffers.
     """
-    y, internal, need, cols = table
+    y, internal, need = table
     n, a = labels.shape
-    b = y.shape[1]
-    rows = max(1, 16 * _CHUNK // len(y))
-    cross = np.empty((min(rows, n), len(y)))
-    total = np.empty_like(cross)
+    b, width = y.shape[1], len(y)
+    g = np.zeros((n, n_c, b))
+    at = np.arange(n)
+    for i in range(a):
+        g[at, labels[:, i]] += S[i, a:]
+    rows = max(1, 16 * _CHUNK // width)
+    bufs = [np.empty(min(rows, n) * width) for _ in range(2)]
+    highest = int(need.max())
     best = None
     for start in range(0, n, rows):
-        x = labels[start : start + rows]
+        x = g[start : start + rows]
         r = len(x)
-        g = np.zeros((r, n_c, b))
-        at = np.arange(r)
-        for i in range(a):
-            g[at, x[:, i]] += S[i, a:]
-        g = g.reshape(r, n_c * b)
-        c, t = cross[:r], total[:r]
-        c.fill(0.0)
+        c = np.zeros((r, 1))
         for q in range(b):
-            # the columns are in range; mode="clip" avoids a buffered copy
-            np.take(g, cols[q], axis=1, out=t, mode="clip")
-            c += t
+            # one strided add per label, so numpy's inner loop runs over the
+            # whole parent level
+            out = bufs[q % 2][: c.size * n_c].reshape(r, -1)
+            for j in range(n_c):
+                np.add(c, x[:, j, q, None], out=out[:, j::n_c])
+            c = out
+        t = bufs[b % 2][: r * width].reshape(r, width)
         np.add(score[start : start + r, None], internal, out=t)
         c *= 2.0
         t += c
-        t[need > maxl[start : start + r, None]] = -np.inf
+        for i in np.flatnonzero(maxl[start : start + r] < highest):
+            t[i, need > maxl[start + i]] = -np.inf
         k = int(np.argmax(t))
         if best is None or t.flat[k] > best[0]:
-            best = (float(t.flat[k]), x[k // len(y)], k % len(y))
+            best = (float(t.flat[k]), labels[start + k // width], k % width)
     return best
 
 

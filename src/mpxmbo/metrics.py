@@ -214,8 +214,8 @@ def oracle_max_modularity(net, deg, gamma, n_c):
     visited once) against the matrix of `modularity_op`, applied to the
     identity and mirrored from its upper triangle, with no bounding or
     pruning: prefixes are grown level by level, and each block of them
-    is scored against one table of all n_c**b suffixes, b < nL the
-    longest with n_c**b <= 4096
+    is scored against all n_c**b suffixes (b < nL the longest with
+    n_c**b <= 4096), whose sums are grown along the suffix tree
     (``_kernels.enumerate_partitions``).  Instances with n_c**nL beyond
     10**7 are rejected, so a level holds at most 1024 prefixes and memory
     does not grow with nL.  The returned modularity is recomputed from the

@@ -5,10 +5,10 @@ plain numpy (`toarray` gives a layer's dense matrix), so operator,
 eigensolver and oracle tests compare against arithmetic that shares no
 code with the package internals; the literal double sum of modularity
 over `dense_modularity` and the dense truth scores do the same for
-`multiplex_modularity`, `nmi` and `matched_accuracy`, and the line-loop
-loaders for the four file loaders.  The network builders and writers
-(dense layers in, canonical files out) and the file generators serve
-tests only.
+`multiplex_modularity`, `nmi` and `matched_accuracy`, a whole-table oracle
+kernel for `enumerate_partitions`, and the line-loop loaders for the four
+file loaders.  The network builders and writers (dense layers in, canonical
+files out) and the file generators serve tests only.
 """
 
 import re
@@ -222,6 +222,89 @@ def reference_matched_accuracy(detected, truth):
     for lab, t in matching.items():
         correct += int(np.count_nonzero((detected.assignment == lab) & (truth.assignment == t)))
     return correct / detected.size, matching
+
+
+# ------------------------------------------------------- reference oracle kernel
+#
+# The exhaustive oracle's kernel with every suffix tabulated whole and each
+# block's cross term gathered position by position from per-block G columns,
+# where `_kernels` grows both suffix sums along the suffix tree.  Both add the
+# same terms in the same order, so value bits and labels must agree.
+
+
+def _reference_extend(labels, maxl, score, S, n_c):
+    p = labels.shape[1]
+    counts = np.minimum(maxl + 2, n_c)
+    rep = np.repeat(np.arange(labels.shape[0]), counts)
+    ends = np.cumsum(counts)
+    new = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+    labels = labels[rep]
+    same = np.where(labels == new[:, None], S[:p, p], 0.0).sum(axis=1)
+    score = score[rep] + (S[p, p] + 2.0 * same)
+    return np.concatenate([labels, new[:, None]], axis=1), np.maximum(maxl[rep], new), score
+
+
+def _reference_suffix_table(S, n_c, a):
+    b = S.shape[0] - a
+    y = np.arange(n_c**b)[:, None] // n_c ** np.arange(b - 1, -1, -1) % n_c
+    internal = np.zeros(len(y))
+    need = np.zeros(len(y), dtype=np.int64)
+    top = np.full(len(y), -1)
+    for q in range(b):
+        p = a + q
+        same = np.zeros(len(y))
+        for r in range(q):
+            same += np.where(y[:, r] == y[:, q], S[a + r, p], 0.0)
+        internal += S[p, p] + 2.0 * same
+        need = np.maximum(need, np.where(y[:, q] > top + 1, y[:, q] - 1, 0))
+        top = np.maximum(top, y[:, q])
+    return y, internal, need, np.ascontiguousarray((y * b + np.arange(b)).T)
+
+
+def _reference_best_completion(labels, maxl, score, S, n_c, table, chunk):
+    y, internal, need, cols = table
+    n, a = labels.shape
+    b = y.shape[1]
+    rows = max(1, 16 * chunk // len(y))
+    cross = np.empty((min(rows, n), len(y)))
+    total = np.empty_like(cross)
+    best = None
+    for start in range(0, n, rows):
+        x = labels[start : start + rows]
+        r = len(x)
+        g = np.zeros((r, n_c, b))
+        at = np.arange(r)
+        for i in range(a):
+            g[at, x[:, i]] += S[i, a:]
+        g = g.reshape(r, n_c * b)
+        c, t = cross[:r], total[:r]
+        c.fill(0.0)
+        for q in range(b):
+            np.take(g, cols[q], axis=1, out=t, mode="clip")
+            c += t
+        np.add(score[start : start + r, None], internal, out=t)
+        c *= 2.0
+        t += c
+        t[need > maxl[start : start + r, None]] = -np.inf
+        k = int(np.argmax(t))
+        if best is None or t.flat[k] > best[0]:
+            best = (float(t.flat[k]), x[k // len(y)], k % len(y))
+    return best
+
+
+def reference_enumerate_partitions(S, n_c, chunk):
+    """(value, labels) of `_kernels.enumerate_partitions` with ``_CHUNK = chunk``."""
+    m = S.shape[0]
+    b = 0
+    while b < m - 1 and n_c ** (b + 1) <= chunk:
+        b += 1
+    labels = np.zeros((1, 1), dtype=np.int64)
+    maxl, score = labels[0], np.array([S[0, 0]], dtype=float)
+    while labels.shape[1] < m - b:
+        labels, maxl, score = _reference_extend(labels, maxl, score, S, n_c)
+    table = _reference_suffix_table(S, n_c, m - b)
+    value, prefix, j = _reference_best_completion(labels, maxl, score, S, n_c, table, chunk)
+    return value, np.concatenate([prefix, table[0][j]])
 
 
 # ------------------------------------------------------------ reference loaders

@@ -31,6 +31,7 @@ from conftest import (
     random_gamma,
     random_network,
     random_partition,
+    reference_enumerate_partitions,
     reference_matched_accuracy,
     reference_nmi,
     toarray,
@@ -520,6 +521,27 @@ def test_enumerate_partitions_same_for_any_chunk(n_c, m, monkeypatch):
         assert other_lab.tolist() == lab.tolist()
 
 
+def test_enumerate_partitions_matches_the_reference(monkeypatch):
+    # 1050 instances: value bytes and labels as the earlier kernel's, with
+    # small integers for exact ties; _CHUNK = 1 leaves every suffix empty,
+    # and scores up to 2**14 prefixes 16 at a time, so it gets fewer
+    rng = np.random.default_rng(75)
+    for chunk, trials in [(4096, 450), (7, 450), (1, 150)]:
+        monkeypatch.setattr(_kernels, "_CHUNK", chunk)
+        for trial in range(trials):
+            n_c = int(rng.integers(2, 6))
+            m = int(rng.integers(1, {2: 16, 3: 11, 4: 9, 5: 8}[n_c]))
+            if trial % 2:
+                s = rng.integers(-2, 3, size=(m, m)).astype(float)
+            else:
+                s = rng.standard_normal((m, m))
+            s = s + s.T
+            want_val, want_lab = reference_enumerate_partitions(s, n_c, chunk)
+            val, lab = _kernels.enumerate_partitions(s, n_c)
+            assert np.float64(val).tobytes() == np.float64(want_val).tobytes()
+            assert lab.tolist() == want_lab.tolist()
+
+
 def test_suffix_table_lists_every_suffix_with_its_admissibility():
     # enumerate_partitions' result cannot show the -inf mask: a string that
     # is not a restricted growth string scores exactly as its canonical
@@ -528,7 +550,7 @@ def test_suffix_table_lists_every_suffix_with_its_admissibility():
     s = rng.integers(-2, 3, size=(7, 7)).astype(float)
     s = s + s.T
     for n_c, a in [(2, 1), (2, 3), (3, 2), (4, 4)]:
-        y, internal, need, _ = _kernels._suffix_table(s, n_c, a)
+        y, internal, need = _kernels._suffix_table(s, n_c, a)
         assert y.tolist() == [list(t) for t in itertools.product(range(n_c), repeat=7 - a)]
         tail = s[a:, a:]
         for lab, score, lowest in zip(y, internal, need):

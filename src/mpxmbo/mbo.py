@@ -31,15 +31,21 @@ library steps.
 Every run draws its initial assignment from a counter-based generator
 keyed by seed XOR run_index, so results are reproducible and independent
 of execution order; running with a thread pool changes timings only.
+`detect` compares each run with the best so far as soon as it ends, by
+(modularity, lower run index), and the loser drops its partition.  That
+order is total, so the tie rule (first maximum in index order) does not
+depend on the order runs finish in, and `detect` holds at most
+threads + 1 partitions, O(threads nL), plus O(runs) scalars.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -118,9 +124,12 @@ class DetectConfig:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of a single thresholded-diffusion run."""
+    """Outcome of a single thresholded-diffusion run.
 
-    partition: Partition
+    ``partition`` is None for a run that `detect` did not keep as best.
+    """
+
+    partition: Partition | None
     modularity: float
     iterations: int
     converged: bool
@@ -129,7 +138,13 @@ class RunResult:
 
 @dataclass(frozen=True)
 class DetectResult:
-    """Best run plus everything needed to audit a detection call."""
+    """Best run plus everything needed to audit a detection call.
+
+    ``runs`` holds one RunResult per run in index order, with its
+    modularity, iterations, convergence flag and index.  Only ``best``
+    holds a partition: ``runs[best.run_index] is best``, and every other
+    entry has ``partition=None``.
+    """
 
     best: RunResult
     runs: tuple
@@ -267,7 +282,9 @@ def detect(net, deg, config, basis=None, threads=1):
     -------
     DetectResult
         ``best`` is the run with the largest modularity (ties: smallest
-        run index); ``runs`` holds all runs in index order.
+        run index, whatever order the runs finish in); ``runs`` holds all
+        runs in index order, and only ``best`` keeps its partition, so
+        memory is O(threads nL) plus O(runs) scalars.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
@@ -297,22 +314,37 @@ def detect(net, deg, config, basis=None, threads=1):
         if basis.k > config.k:
             basis = basis.truncate(config.k)
 
-    def one_run(i):
-        rng = run_rng(config.seed, i)
-        init = random_onehot_init(net.nL, config.n_c, rng)
-        return mbo_run(basis, config, init, net, deg, run_index=i)
+    runs = [None] * config.n_runs
+    best = None
+    todo = iter(range(config.n_runs))
+    lock = threading.Lock()
+
+    # workers take run indices from one shared iterator, so no future is
+    # queued per run; each run meets the best so far as soon as it ends
+    def work(_):
+        nonlocal best
+        while True:
+            with lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            init = random_onehot_init(net.nL, config.n_c, run_rng(config.seed, i))
+            res = mbo_run(basis, config, init, net, deg, run_index=i)
+            with lock:
+                if best is None or (res.modularity, -i) > (best.modularity, -best.run_index):
+                    best, res = res, best
+                if res is not None:
+                    runs[res.run_index] = replace(res, partition=None)
+                runs[best.run_index] = best
 
     t1 = time.perf_counter()
-    # the pool starts a thread per submit while none is idle, so cap it
+    # each worker holds one run's labels and row block: start no more
+    # workers than there are CPUs to keep busy
     workers = min(threads, os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_run, range(config.n_runs)))
+            list(pool.map(work, range(workers)))
     else:
-        results = [one_run(i) for i in range(config.n_runs)]
+        work(0)
     online = time.perf_counter() - t1
-    best = results[0]
-    for res in results[1:]:
-        if res.modularity > best.modularity:
-            best = res
-    return DetectResult(best, tuple(results), basis, offline, online)
+    return DetectResult(best, tuple(runs), basis, offline, online)

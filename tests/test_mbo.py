@@ -2,6 +2,8 @@
 
 import math
 import os
+import sys
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -369,17 +371,115 @@ def test_detect_best_dominates_and_breaks_ties_low(two_triangles):
     assert [r.run_index for r in out.runs] == list(range(12))
 
 
-def test_detect_threads_do_not_change_results(florentine):
+@pytest.fixture
+def detect_recorded(monkeypatch):
+    """detect that also returns every run's partition by run index, recorded
+    as mbo_run returns it: the result keeps only the best run's."""
+    parts = {}
+    run = mbo.mbo_run
+
+    def recorder(*args, **kwargs):
+        res = run(*args, **kwargs)
+        parts[res.run_index] = res.partition
+        return res
+
+    monkeypatch.setattr(mbo, "mbo_run", recorder)
+
+    def call(*args, **kwargs):
+        parts.clear()
+        out = detect(*args, **kwargs)
+        return out, dict(parts)
+
+    return call
+
+
+def assert_same_runs(a, a_parts, b, b_parts):
+    """Two detect results agree run for run: record and partition bytes."""
+    assert len(a.runs) == len(b.runs) == len(a_parts) == len(b_parts)
+    for ra, rb in zip(a.runs, b.runs, strict=True):
+        assert np.float64(ra.modularity).tobytes() == np.float64(rb.modularity).tobytes()
+        assert (ra.iterations, ra.converged, ra.run_index) == (
+            rb.iterations,
+            rb.converged,
+            rb.run_index,
+        )
+        pa, pb = a_parts[ra.run_index], b_parts[rb.run_index]
+        assert pa.assignment.dtype == pb.assignment.dtype
+        assert pa.assignment.tobytes() == pb.assignment.tobytes()
+        assert pa.n_c == pb.n_c
+    for out, parts in ((a, a_parts), (b, b_parts)):
+        assert out.runs[out.best.run_index] is out.best
+        assert out.best.partition is parts[out.best.run_index]
+
+
+def test_detect_threads_do_not_change_results(florentine, detect_recorded):
     net, deg = florentine
     config = DetectConfig(method="mpbtv", n_c=3, k=4, gamma=0.6, n_runs=8, seed=3)
-    seq = detect(net, deg, config, threads=1)
-    par = detect(net, deg, config, threads=4)
-    for a, b in zip(seq.runs, par.runs):
-        assert np.array_equal(a.partition.assignment, b.partition.assignment)
-        assert a.modularity == b.modularity
+    seq, seq_parts = detect_recorded(net, deg, config, threads=1)
+    par, par_parts = detect_recorded(net, deg, config, threads=4)
+    assert_same_runs(seq, seq_parts, par, par_parts)
 
 
-def test_detect_starts_at_most_the_cpu_count(monkeypatch, two_triangles):
+def test_detect_best_ignores_completion_order(monkeypatch, two_triangles):
+    # lower run indices sleep longer, so later runs finish first; the best
+    # is still the first run in index order that reaches the maximum Q, and
+    # only it keeps a partition.  Four workers, switching threads often,
+    # must still make every run once and record it once.
+    finished = []
+    run = mbo.mbo_run
+
+    def slow_early(*args, **kwargs):
+        res = run(*args, **kwargs)
+        time.sleep(0.01 * (12 - res.run_index))
+        finished.append(res.run_index)
+        return res
+
+    monkeypatch.setattr(mbo, "mbo_run", slow_early)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    net, deg = two_triangles
+    config = DetectConfig(method="dgfm3", n_c=2, k=2, n_runs=12, seed=2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = detect(net, deg, config, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
+    qs = [r.modularity for r in out.runs]
+    first = int(np.argmax(qs))
+    assert out.best.run_index == first
+    assert out.best.modularity == max(qs)
+    assert out.runs[first] is out.best
+    assert out.best.partition is not None
+    assert all(r.partition is None for i, r in enumerate(out.runs) if i != first)
+    assert [r.run_index for r in out.runs] == list(range(12))
+    # the order was exercised: a later run with the maximum Q finished first
+    assert sorted(finished) == list(range(12))
+    assert next(i for i in finished if qs[i] == max(qs)) != first
+
+
+def test_detect_memory_flat_in_runs(monkeypatch):
+    # detect keeps one partition, not one per run: the tracemalloc peak at
+    # 400 runs stays within 1 MiB of the peak at 4 runs (400 partitions of
+    # nL = 2000 labels would be 6.4 MB), sequentially and in the pool
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    net = planted_network(np.random.default_rng(31), 500, 4, 4)
+    deg = compute_degrees(net)
+    basis = basis_for_method("dgfm3", net, deg, 1.0, 8)
+    for threads in (1, 2):
+        peaks = []
+        for n_runs in (4, 400):
+            config = DetectConfig(method="dgfm3", n_c=4, k=8, n_runs=n_runs, max_iter=1)
+            tracemalloc.start()
+            try:
+                out = detect(net, deg, config, basis=basis, threads=threads)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(out.runs) == n_runs
+        assert peaks[1] - peaks[0] <= 1 << 20
+
+
+def test_detect_starts_at_most_the_cpu_count(monkeypatch, two_triangles, detect_recorded):
     # the pool would start a thread per run while none is idle; a fake pool
     # records its size and maps in this thread, so no thread is started
     sizes = []
@@ -400,16 +500,14 @@ def test_detect_starts_at_most_the_cpu_count(monkeypatch, two_triangles):
     monkeypatch.setattr(mbo, "ThreadPoolExecutor", FakePool)
     net, deg = two_triangles
     config = DetectConfig(method="dgfm3", n_c=2, k=2, n_runs=5, seed=4)
-    seq = detect(net, deg, config, threads=1)
+    seq, seq_parts = detect_recorded(net, deg, config, threads=1)
     # one CPU, or an unknown count, takes the sequential path: no pool at all
     for cpus, want in ((3, [3]), (1, []), (None, [])):
         sizes.clear()
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        out = detect(net, deg, config, threads=10**6)
+        out, parts = detect_recorded(net, deg, config, threads=10**6)
         assert sizes == want
-        for a, b in zip(seq.runs, out.runs, strict=True):
-            assert np.array_equal(a.partition.assignment, b.partition.assignment)
-            assert a.modularity == b.modularity
+        assert_same_runs(seq, seq_parts, out, parts)
 
 
 def test_detect_rejects_bad_thread_count(two_triangles):
@@ -420,16 +518,15 @@ def test_detect_rejects_bad_thread_count(two_triangles):
             detect(net, deg, config, threads=threads)
 
 
-def test_detect_reuses_and_truncates_basis(florentine):
+def test_detect_reuses_and_truncates_basis(florentine, detect_recorded):
     net, deg = florentine
     config = DetectConfig(method="dgfm3", n_c=3, k=5, gamma=0.6, n_runs=4, seed=1)
-    fresh = detect(net, deg, config)
+    fresh, fresh_parts = detect_recorded(net, deg, config)
     wide = basis_for_method("dgfm3", net, deg, 0.6, 9, rng_seed=1)
-    reused = detect(net, deg, config, basis=wide)
+    reused, reused_parts = detect_recorded(net, deg, config, basis=wide)
     assert reused.offline_seconds == 0.0
     assert reused.basis.k == 5
-    for a, b in zip(fresh.runs, reused.runs):
-        assert np.array_equal(a.partition.assignment, b.partition.assignment)
+    assert_same_runs(fresh, fresh_parts, reused, reused_parts)
 
 
 def test_detect_rejects_a_basis_of_the_other_method(florentine):

@@ -31,11 +31,11 @@ Memory stays at V (dim x (m + 1)) plus the basis (dim x k) plus O(dim):
 each restart compresses V in place by row blocks of about dim doubles,
 the Ritz block is read from the compressed V and copied out only once
 certified, each pair is certified with one work vector, and a resumed
-solve frees the previous basis once it is copied into V.  The row blocks
-keep the bits of one full product (a GEMM such as OpenBLAS's sums each
-entry in the same order however its rows are blocked), so eigenvector
-bits do not depend on them; each residual is the norm of one vector,
-whose bits may differ by rounding from a norm taken over a block.
+solve frees the previous basis once it is copied into V.  A GEMM may
+sum an entry in another order when its rows are blocked: OpenBLAS kept
+the bits of one full product at every (dim, k) tried, up to (40000, 40),
+but other shapes may move eigenvector bits at rounding level.  Each
+residual is one vector's norm, which may round unlike a block's norm.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class ConvergenceError(RuntimeError):
         self.residuals = residuals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralBasis:
     """Truncated spectral decomposition of a symmetric operator.
 

@@ -122,7 +122,7 @@ class DetectConfig:
             raise ValueError(f"need 1 <= k < nL, got k={self.k}, nL={net.nL}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunResult:
     """Outcome of a single thresholded-diffusion run.
 
@@ -136,7 +136,7 @@ class RunResult:
     run_index: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetectResult:
     """Best run plus everything needed to audit a detection call.
 
@@ -225,7 +225,11 @@ def mbo_run(basis, config, init, net, deg, run_index=0):
     decay = np.exp(config.dt * (basis.eigenvalues - top))[:, None]
     step = max(2, _BLOCK // max(n_c, k))
     # each block has at least step >= 2 rows: numpy multiplies a single row
-    # by GEMV, whose sums round differently from the GEMM of the other blocks
+    # by GEMV, whose sums round differently from the GEMM of the other blocks.
+    # Row blocks of one GEMM kept the bits of a full product with OpenBLAS at
+    # the shapes of data/ and the benchmark workloads, but not at every shape
+    # (k = 30, n_c = 10, nL = 8000 already differs at the default step), so _BLOCK
+    # may move diffused values at rounding level and a label only at a near-tie
     nblocks = max(1, nL // step)
     bounds = [nL * b // nblocks for b in range(nblocks + 1)]
     # An eigenvector entry is known only to about eig_tol * scale / gap, so

@@ -244,7 +244,7 @@ def oracle_max_modularity(net, deg, gamma, n_c):
     return multiplex_modularity(part, net, deg, gamma), part
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalReport:
     """Evaluation summary for one partition."""
 

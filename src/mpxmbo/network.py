@@ -147,7 +147,7 @@ def _check_coupling(coupling, L):
     return coupling
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiplexNetwork:
     """Immutable multiplex network: L intra-layer matrices plus coupling.
 
@@ -195,7 +195,7 @@ def all_to_all_coupling(L):
     return np.ones((L, L)) - np.eye(L)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DegreeData:
     """Degree and strength bookkeeping derived from a network.
 
@@ -243,7 +243,7 @@ def gamma_vector(gamma, L):
     return g
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
     """Non-overlapping assignment of node-layer pairs to communities.
 

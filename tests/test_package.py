@@ -1,7 +1,15 @@
-"""The package's public surface: each module's __all__, exported once."""
+"""The package's public surface: each module's __all__, exported once, the
+equality rule of its records, and README's library examples."""
+
+import re
+
+import numpy as np
 
 import mpxmbo
+from conftest import DATA_DIR
 from mpxmbo import eigensolver, mbo, metrics, network, operators
+
+ROOT = DATA_DIR.parent
 
 
 def test_package_exports_exactly_the_module_lists():
@@ -13,3 +21,64 @@ def test_package_exports_exactly_the_module_lists():
     for module in modules:
         for name in module.__all__:
             assert getattr(mpxmbo, name) is getattr(module, name), name
+
+
+def _two_triangles():
+    net = mpxmbo.load_network(DATA_DIR / "two_triangles.mpx", omega=0.0)
+    return net, mpxmbo.compute_degrees(net)
+
+
+def _partition():
+    return mpxmbo.Partition(np.array([1, 1, 1, 2, 2, 2]), 2)
+
+
+def _basis():
+    return mpxmbo.SpectralBasis(np.array([2.0, 1.0]), np.eye(6)[:, :2], np.zeros(2), "modularity")
+
+
+def _run():
+    return mpxmbo.RunResult(_partition(), 0.5, 2, True)
+
+
+# one factory per public record; each call builds a fresh one from equal inputs
+RECORDS = {
+    "Partition": _partition,
+    "SparseSym": lambda: mpxmbo.SparseSym.from_coo(2, [0, 1], [1, 0], [1.0, 1.0]),
+    "MultiplexNetwork": lambda: _two_triangles()[0],
+    "DegreeData": lambda: _two_triangles()[1],
+    "LinearOperator": lambda: mpxmbo.modularity_op(*_two_triangles(), 1.0),
+    "SpectralBasis": _basis,
+    "DetectConfig": lambda: mpxmbo.DetectConfig("dgfm3", 2, 2, gamma=(0.5,)),
+    "RunResult": _run,
+    "DetectResult": lambda: mpxmbo.DetectResult(_run(), (_run(),), _basis(), 0.0, 0.0),
+    "EvalReport": lambda: mpxmbo.evaluate(_partition(), *_two_triangles(), 1.0, truth=_partition()),
+}
+
+
+def test_public_records_follow_one_equality_rule():
+    # README "Library": DetectConfig compares by value, every other record by identity
+    public = {
+        name
+        for name in mpxmbo.__all__
+        if isinstance(getattr(mpxmbo, name), type) and not issubclass(getattr(mpxmbo, name), Exception)
+    }
+    assert set(RECORDS) == public
+    for name, make in RECORDS.items():
+        cls = getattr(mpxmbo, name)
+        a, b = make(), make()
+        assert type(a) is cls and type(b) is cls, name
+        by_value = cls is mpxmbo.DetectConfig
+        assert a == a and not a != a, name
+        assert (a == b) is by_value and (a != b) is not by_value, name
+        assert hash(a) == hash(a) and (hash(a) == hash(b) or not by_value), name
+
+
+def test_readme_library_examples_run(monkeypatch):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```python\n(.*?)^```", library, re.M | re.S)
+    assert blocks
+    monkeypatch.chdir(ROOT)
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)

@@ -7,7 +7,14 @@ Subcommands:
     oracle    exhaustive search for the maximum-modularity partition
     grid      sweep community counts and basis sizes
 
-Exit codes: 0 success, 1 runtime or data errors, 2 usage errors.
+`detect --basis-cache` looks the basis up in an npz file stored under one
+sha256 key of the problem.  On a miss, `mbo.detect` solves and times the
+basis, as it does for a library caller, and the file is rewritten with it.
+An output (``--out``, ``--basis-cache``) may not name an input or the
+other output.
+
+Exit codes: 0 success, 1 runtime or data errors, 2 usage errors (from
+argparse, after its usage line).
 """
 
 from __future__ import annotations
@@ -44,6 +51,20 @@ def _fmt(x):
 def _gamma_flag(text):
     vals = tuple(float(part) for part in text.split(","))
     return vals[0] if len(vals) == 1 else vals
+
+
+def _range(text):
+    """An inclusive low:high range of integers."""
+    parts = text.split(":")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"expects low:high, got {text!r}")
+    try:
+        lo, hi = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects integers, got {text!r}") from None
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    return lo, hi
 
 
 def _add_network_args(p):
@@ -122,8 +143,8 @@ def build_parser():
     p = sub.add_parser("grid", help="sweep community counts and basis sizes")
     _add_network_args(p)
     p.add_argument("--method", required=True, choices=("mpbtv", "dgfm3"))
-    p.add_argument("--nc-range", required=True, help="inclusive range, e.g. 2:5")
-    p.add_argument("--k-range", required=True, help="inclusive range, e.g. 3:10")
+    p.add_argument("--nc-range", type=_range, required=True, help="inclusive range, e.g. 2:5")
+    p.add_argument("--k-range", type=_range, required=True, help="inclusive range, e.g. 3:10")
     _add_run_args(p)
     p.add_argument("--out", default=None, help="write a TSV of the sweep")
     p.set_defaults(func=cmd_grid)
@@ -131,71 +152,37 @@ def build_parser():
     return parser
 
 
+def _same_file(a, b):
+    """Whether two paths name one file: the same inode when both exist."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _load(args):
     # detect and grid pass --threads to mbo.detect; reject it before any work
     if getattr(args, "threads", 1) < 1:
         raise ValueError("threads must be >= 1")
-    # an output that cannot be written fails here, with the error opening it
-    # would raise after the solve; nothing is created
-    for path in filter(None, [getattr(args, "out", None), getattr(args, "basis_cache", None)]):
-        if os.path.isdir(path):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        if not os.path.isdir(os.path.dirname(path) or "."):
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    # an output fails here if it names an input or the other output, or if
+    # it cannot be written (with the error opening it would raise after the
+    # solve); nothing is read or created
+    named = []
+    for flag in ("--input", "--coupling", "--truth", "--partition", "--out", "--basis-cache"):
+        path = getattr(args, flag[2:].replace("-", "_"), None)
+        if not path:
+            continue
+        if flag in ("--out", "--basis-cache"):
+            for other, prior in named:
+                if _same_file(path, prior):
+                    raise ValueError(f"{flag} and {other} name the same file: {path}")
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            if not os.path.isdir(os.path.dirname(path) or "."):
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        named.append((flag, path))
     net = load_network(args.input, args.coupling, args.omega)
     gamma = gamma_vector(args.gamma, net.L)
     return net, compute_degrees(net), gamma
-
-
-def _parse_range(text, flag):
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise UsageError(f"{flag} expects low:high, got {text!r}")
-    try:
-        lo, hi = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise UsageError(f"{flag} expects integers, got {text!r}") from None
-    if lo > hi:
-        raise UsageError(f"{flag}: empty range {text!r}")
-    return lo, hi
-
-
-class UsageError(Exception):
-    pass
-
-
-def _basis(net, deg, gamma, method, k, eig_tol, seed, cache=None):
-    """The basis of one problem, and the seconds spent computing it.
-
-    With a ``cache`` path, a basis stored there under the same key is
-    loaded (0 seconds); otherwise the basis is computed, and stored there
-    if a path is given.  The key is one sha256 over the exact bytes of
-    every parameter and of the network's canonical arrays and coupling.
-    """
-    if cache:
-        h = hashlib.sha256(f"{method} {k} {seed} {net.n} {net.L}".encode())
-        h.update(np.float64([eig_tol, net.omega]).tobytes() + gamma.tobytes())
-        for a in net.intra:
-            h.update(a.nnz.to_bytes(8, "little"))
-            for arr in (a.rows, a.cols, a.data):
-                h.update(arr)  # the loaded arrays are contiguous: no copy
-        h.update(net.coupling)
-        key = {"key": h.hexdigest()}
-        if os.path.exists(cache):
-            try:
-                basis, meta = load_basis(cache)
-            except Exception as exc:  # unreadable cache: recompute
-                print(f"note: ignoring unreadable basis cache ({exc})", file=sys.stderr)
-            else:
-                if meta == key and basis.dim == net.nL and basis.k == k:
-                    return basis, 0.0
-                print("note: basis cache does not match parameters; recomputing", file=sys.stderr)
-    t0 = time.perf_counter()
-    basis = basis_for_method(method, net, deg, gamma, k, tol=eig_tol, rng_seed=seed)
-    elapsed = time.perf_counter() - t0
-    if cache:
-        save_basis(basis, cache, key)
-    return basis, elapsed
 
 
 def _print_report(report):
@@ -229,10 +216,32 @@ def cmd_detect(args):
     truth = load_labels(args.truth, net) if args.truth else None
     config = _config(args, args.nc, args.k)
     config.check(net)
-    basis, offline = _basis(
-        net, deg, gamma, config.method, config.k, config.eig_tol, config.seed, args.basis_cache
-    )
+    basis = key = None
+    if args.basis_cache:
+        # one sha256 over the exact bytes of every parameter and of the
+        # network's canonical arrays and coupling
+        h = hashlib.sha256(f"{config.method} {config.k} {config.seed} {net.n} {net.L}".encode())
+        h.update(np.float64([config.eig_tol, net.omega]).tobytes() + gamma.tobytes())
+        for a in net.intra:
+            h.update(a.nnz.to_bytes(8, "little"))
+            for arr in (a.rows, a.cols, a.data):
+                h.update(arr)  # the loaded arrays are contiguous: no copy
+        h.update(net.coupling)
+        key = h.hexdigest()
+        if os.path.exists(args.basis_cache):
+            try:
+                basis, stored = load_basis(args.basis_cache)
+            except Exception as exc:  # unreadable cache: recompute
+                print(f"note: ignoring unreadable basis cache ({exc})", file=sys.stderr)
+            else:
+                if stored != key or basis.dim != net.nL or basis.k != config.k:
+                    note = "note: basis cache does not match parameters; recomputing"
+                    print(note, file=sys.stderr)
+                    basis = None
+    # without a cached basis, detect solves and times it
     result = detect(net, deg, config, basis=basis, threads=args.threads)
+    if key and basis is None:
+        save_basis(result.basis, args.basis_cache, key)
     report = evaluate(result.best.partition, net, deg, gamma, truth)
     save_partition(result.best.partition, net, args.out)
     print(f"method: {config.method}")
@@ -243,7 +252,7 @@ def cmd_detect(args):
     _print_report(report)
     per_run = " ".join(_fmt(r.modularity) for r in result.runs)
     print(f"run modularities: {per_run}")
-    print(f"offline seconds: {_fmt(offline)}")
+    print(f"offline seconds: {_fmt(result.offline_seconds)}")
     print(f"online seconds: {_fmt(result.online_seconds)}")
     print(f"partition written: {args.out}")
     return 0
@@ -263,7 +272,11 @@ def cmd_spectrum(args):
     # lk: the mpbtv basis is minus the bottom of Laplacian + balance, so
     # report its negation, ascending; mod: the dgfm3 basis as it is
     method = "mpbtv" if args.operator == "lk" else "dgfm3"
-    basis, elapsed = _basis(net, deg, gamma, method, args.k, args.eig_tol, args.seed)
+    t0 = time.perf_counter()
+    basis = basis_for_method(
+        method, net, deg, gamma, args.k, tol=args.eig_tol, rng_seed=args.seed
+    )
+    elapsed = time.perf_counter() - t0
     # 0.0 - x rather than -x, so that an exact zero prints as 0, not -0
     values = 0.0 - basis.eigenvalues if args.operator == "lk" else basis.eigenvalues
     table = "".join(
@@ -291,15 +304,16 @@ def cmd_oracle(args):
 
 def cmd_grid(args):
     net, deg, gamma = _load(args)
-    nc_lo, nc_hi = _parse_range(args.nc_range, "--nc-range")
-    k_lo, k_hi = _parse_range(args.k_range, "--k-range")
+    (nc_lo, nc_hi), (k_lo, k_hi) = args.nc_range, args.k_range
     # every check on a cell is a bound on n_c or k, so the two corner cells
     # reject a bad range before the solve and before any row is printed
     for n_c, k in ((nc_lo, k_lo), (nc_hi, k_hi)):
         _config(args, n_c, k).check(net)
     # one offline solve at the largest k; smaller cells truncate columns,
     # which is sound because each eigenpair is certified individually
-    basis, _ = _basis(net, deg, gamma, args.method, k_hi, args.eig_tol, args.seed)
+    basis = basis_for_method(
+        args.method, net, deg, gamma, k_hi, tol=args.eig_tol, rng_seed=args.seed
+    )
     rows = ["n_c\tk\tmodularity\n"]
     best = None
     print(rows[0], end="")
@@ -324,9 +338,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     except (ConvergenceError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1

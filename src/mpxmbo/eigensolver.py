@@ -357,10 +357,8 @@ def basis_for_method(method, net, deg, gamma, k, tol=1e-8, rng_seed=0):
     raise ValueError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
 
 
-def save_basis(basis, path, meta=None):
-    """Cache a basis to an .npz file at exactly ``path``, with optional metadata strings."""
-    meta = meta or {}
-    items = {f"meta_{key}": np.str_(str(val)) for key, val in meta.items()}
+def save_basis(basis, path, key=None):
+    """Cache a basis to an .npz file at exactly ``path``, with an optional key string."""
     # through a file handle: given a name, np.savez would append ".npz"
     with open(path, "wb") as fh:
         np.savez(
@@ -370,12 +368,12 @@ def save_basis(basis, path, meta=None):
             residuals=basis.residuals,
             operator_label=np.str_(basis.operator_label),
             shift=np.float64(basis.shift),
-            **items,
+            **({} if key is None else {"key": np.str_(key)}),
         )
 
 
 def load_basis(path):
-    """Load a cached basis; returns (SpectralBasis, metadata dict)."""
+    """Load a cached basis; returns (SpectralBasis, its key string, or None without one)."""
     with np.load(path) as npz:
         basis = SpectralBasis(
             npz["eigenvalues"],
@@ -384,5 +382,5 @@ def load_basis(path):
             str(npz["operator_label"]),
             float(npz["shift"]),
         )
-        meta = {key[5:]: str(npz[key]) for key in npz.files if key.startswith("meta_")}
-    return basis, meta
+        key = str(npz["key"]) if "key" in npz.files else None
+    return basis, key

@@ -95,13 +95,9 @@ class DetectConfig:
             raise ValueError("n_c must be >= 2")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        gamma = self.gamma
-        if np.ndim(gamma) > 0:
-            gamma = tuple(float(g) for g in gamma)
-            gamma_vector(gamma, len(gamma))
-        else:
-            gamma = float(gamma)
-            gamma_vector(gamma, 1)
+        # a scalar broadcasts to one layer; a vector must be flat and non-empty
+        g = gamma_vector(self.gamma, np.size(self.gamma) or 1)
+        gamma = float(g[0]) if np.ndim(self.gamma) == 0 else tuple(g.tolist())
         object.__setattr__(self, "gamma", gamma)
         if not np.isfinite(self.dt) or self.dt <= 0:
             raise ValueError("dt must be positive")

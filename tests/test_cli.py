@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpxmbo import cli, load_basis, load_network
+from mpxmbo import cli, load_basis, load_network, mbo
 
 from conftest import planted_network, save_network, toarray
 
@@ -287,7 +287,7 @@ def test_unwritable_output_fails_before_the_solve(
     # a basis cache or partition that cannot be written ends detect with
     # the error opening it gives, before the solve and before any output
     (tmp_path / "somedir").mkdir()
-    monkeypatch.setattr(cli, "basis_for_method", lambda *a, **k: pytest.fail("solve ran"))
+    monkeypatch.setattr(mbo, "basis_for_method", lambda *a, **k: pytest.fail("solve ran"))
     paths = {"--basis-cache": tmp_path / "basis.npz", "--out": tmp_path / "p.tsv"}
     paths[flag] = tmp_path / name
     rc, out, err = run_cli(
@@ -299,6 +299,102 @@ def test_unwritable_output_fails_before_the_solve(
     assert err == f"error: {message}: '{tmp_path / name}'\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["somedir"]
     assert not any((tmp_path / "somedir").iterdir())
+
+
+DETECT = ["detect", "--input", "net.mpx", "--method", "dgfm3", "--nc", "3", "--k", "4"]
+
+
+@pytest.mark.parametrize(
+    "argv, output, other, path",
+    [
+        (DETECT + ["--out", "p.tsv", "--basis-cache", "net.mpx"],
+         "--basis-cache", "--input", "net.mpx"),
+        (DETECT + ["--out", "net.mpx"], "--out", "--input", "net.mpx"),
+        (DETECT + ["--out", "hard.mpx"], "--out", "--input", "hard.mpx"),
+        (DETECT + ["--truth", "t.tsv", "--out", "./t.tsv"], "--out", "--truth", "./t.tsv"),
+        (DETECT + ["--out", "b.npz", "--basis-cache", "sub/../b.npz"],
+         "--basis-cache", "--out", "sub/../b.npz"),
+        (["spectrum", "--input", "net.mpx", "--operator", "mod", "--k", "4", "--out", "net.mpx"],
+         "--out", "--input", "net.mpx"),
+        (["oracle", "--input", "net.mpx", "--coupling", "c.tsv", "--nc", "2", "--out", "c.tsv"],
+         "--out", "--coupling", "c.tsv"),
+        (["grid", "--input", "net.mpx", "--method", "dgfm3", "--nc-range", "2:3",
+          "--k-range", "3:4", "--out", "net.mpx"], "--out", "--input", "net.mpx"),
+    ],
+)  # fmt: skip
+def test_output_naming_an_input_fails_before_reading(
+    capsys, tmp_path, monkeypatch, argv, output, other, path
+):
+    # an output that names an input (a hard link or another spelling
+    # included) or the other output would replace it: the command ends
+    # before it reads the network, and no file is written or changed
+    (tmp_path / "net.mpx").write_bytes(Path(FLORENTINE).read_bytes())
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "load_network", lambda *a, **k: pytest.fail("network read"))
+    os.link(tmp_path / "net.mpx", tmp_path / "hard.mpx")
+    (tmp_path / "t.tsv").write_text("1\t1\n", encoding="utf-8")
+    (tmp_path / "c.tsv").write_text("1\t2\t0.5\n", encoding="utf-8")
+    (tmp_path / "sub").mkdir()
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (1, "")
+    assert err == f"error: {output} and {other} name the same file: {path}\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
+def test_detect_solves_once_on_a_miss_and_never_on_a_hit(capsys, tmp_path, monkeypatch):
+    # a CLI detect solves inside mbo.detect, once, on a cache miss; the file
+    # it writes holds the bytes of the basis detect used; a hit never solves
+    solves, results = [], []
+    solve, detect = mbo.basis_for_method, cli.detect
+
+    def counted_solve(*args, **kwargs):
+        solves.append(args[0])
+        return solve(*args, **kwargs)
+
+    def kept_detect(*args, **kwargs):
+        results.append(detect(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(mbo, "basis_for_method", counted_solve)
+    monkeypatch.setattr(cli, "detect", kept_detect)
+    cache = tmp_path / "basis.npz"
+    base = [
+        "detect", "--input", FLORENTINE, "--method", "mpbtv", "--nc", "3", "--k", "4",
+        "--gamma", "0.6", "--runs", "3", "--basis-cache", str(cache),
+        "--out", str(tmp_path / "p.tsv"),
+    ]  # fmt: skip
+    rc, out, err = run_cli(capsys, *base)
+    assert (rc, err, solves) == (0, "", ["mpbtv"])
+    assert get_field(out, "offline seconds") == cli._fmt(results[0].offline_seconds)
+    loaded, _ = load_basis(cache)
+    for name in ("eigenvalues", "eigenvectors", "residuals"):
+        assert getattr(loaded, name).tobytes() == getattr(results[0].basis, name).tobytes()
+    rc, out, err = run_cli(capsys, *base)
+    assert (rc, err, solves) == (0, "", ["mpbtv"])
+    assert get_field(out, "offline seconds") == "0"
+
+
+def test_basis_cache_of_the_old_form_is_recomputed_once(capsys, tmp_path):
+    # a cache whose key sits in the metadata entry of earlier versions is
+    # recomputed with the mismatch note, then rewritten and reused
+    cache = tmp_path / "basis.npz"
+    base = [
+        "detect", "--input", FLORENTINE, "--method", "dgfm3", "--nc", "3", "--k", "4",
+        "--runs", "3", "--basis-cache", str(cache), "--out", str(tmp_path / "p.tsv"),
+    ]  # fmt: skip
+    assert run_cli(capsys, *base)[0] == 0
+    with np.load(cache) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    arrays["meta_key"] = arrays.pop("key")
+    with open(cache, "wb") as fh:
+        np.savez(fh, **arrays)
+    rc, out, err = run_cli(capsys, *base)
+    assert (rc, err) == (0, "note: basis cache does not match parameters; recomputing\n")
+    assert get_field(out, "offline seconds") != "0"
+    rc, out, err = run_cli(capsys, *base)
+    assert (rc, err) == (0, "")
+    assert get_field(out, "offline seconds") == "0"
 
 
 def test_basis_cache_path_without_npz_suffix(capsys, tmp_path):
@@ -388,7 +484,7 @@ def test_basis_cache_key_hashes_the_array_bytes(capsys, tmp_path):
         for arr in (a.rows, a.cols, a.data):
             h.update(arr.tobytes())
     h.update(net.coupling.tobytes())
-    assert load_basis(cache)[1] == {"key": h.hexdigest()}
+    assert load_basis(cache)[1] == h.hexdigest()
 
 
 @pytest.mark.parametrize(
@@ -581,13 +677,15 @@ def test_grid_truncation_consistent_with_fresh_basis(capsys, tmp_path):
 
 
 def test_grid_bad_range(capsys):
-    rc, _, err = run_cli(
-        capsys,
-        "grid", "--input", FLORENTINE, "--method", "dgfm3",
-        "--nc-range", "5:2", "--k-range", "3:4",
-    )
-    assert rc == 2
-    assert "usage error" in err
+    with pytest.raises(SystemExit) as info:
+        cli.main(
+            ["grid", "--input", FLORENTINE, "--method", "dgfm3",
+             "--nc-range", "5:2", "--k-range", "3:4"]
+        )  # fmt: skip
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mpxmbo grid")
+    assert err.endswith("error: argument --nc-range: empty range '5:2'\n")
 
 
 @pytest.mark.parametrize(
@@ -599,12 +697,16 @@ def test_grid_bad_range(capsys):
 )
 def test_grid_malformed_range_is_a_usage_error(capsys, tmp_path, nc_range, k_range, message):
     out = tmp_path / "grid.tsv"
-    rc, stdout, err = run_cli(
-        capsys,
-        "grid", "--input", FLORENTINE, "--method", "dgfm3", "--nc-range", nc_range,
-        "--k-range", k_range, "--runs", "2", "--out", str(out),
-    )
-    assert (rc, stdout, err) == (2, "", f"usage error: {message}\n")
+    with pytest.raises(SystemExit) as info:
+        cli.main(
+            ["grid", "--input", FLORENTINE, "--method", "dgfm3", "--nc-range", nc_range,
+             "--k-range", k_range, "--runs", "2", "--out", str(out)]
+        )  # fmt: skip
+    stdout, err = capsys.readouterr()
+    assert (info.value.code, stdout) == (2, "")
+    assert err.startswith("usage: mpxmbo grid")
+    flag, text = message.split(" ", 1)
+    assert err.endswith(f"mpxmbo grid: error: argument {flag}: {text}\n")
     assert not out.exists()
 
 

@@ -322,11 +322,13 @@ def test_save_load_round_trip(tmp_path, florentine):
     net, deg = florentine
     basis = basis_for_method("mpbtv", net, deg, 1.0, 5)
     path = tmp_path / "basis.npz"
-    save_basis(basis, path, meta={"method": "mpbtv", "k": "5"})
-    loaded, meta = load_basis(path)
+    save_basis(basis, path, key="mpbtv k=5")
+    loaded, key = load_basis(path)
     assert np.array_equal(loaded.eigenvalues, basis.eigenvalues)
     assert np.array_equal(loaded.eigenvectors, basis.eigenvectors)
     assert np.array_equal(loaded.residuals, basis.residuals)
     assert loaded.shift == basis.shift
     assert loaded.operator_label == basis.operator_label
-    assert meta == {"method": "mpbtv", "k": "5"}
+    assert key == "mpbtv k=5"
+    save_basis(basis, path)
+    assert load_basis(path)[1] is None

@@ -84,6 +84,8 @@ def test_run_rng_independent_of_order():
         {"eig_tol": 0.0},
         {"dt": float("nan")},
         {"gamma": (1.0, float("inf"))},
+        {"gamma": []},
+        {"gamma": [[1.0, 2.0]]},
         {"eig_tol": float("nan")},
         {"seed": -1},
     ],

@@ -1,6 +1,8 @@
 """The package's public surface: each module's __all__, exported once, the
-equality rule of its records, and README's library examples."""
+equality rule of its records, README's library examples, and the names the
+benchmark's tracer patches."""
 
+import importlib.util
 import re
 
 import numpy as np
@@ -82,3 +84,19 @@ def test_readme_library_examples_run(monkeypatch):
     namespace = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
+
+
+def test_benchmark_tracer_names_resolve():
+    # perfbench/spans.py wraps each (module, attribute) of TARGETS when its
+    # Tracer installs, and perfbench/worker.py records USING_NUMBA: a name
+    # dropped from the package would crash every benchmark run
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    import mpxmbo.cli  # noqa: F401  (as the Tracer does, so that cli is an attribute)
+
+    refs = [ref for _, refs in spans.TARGETS for ref in refs]
+    assert refs
+    for owner, attr in refs:
+        assert callable(getattr(spans._resolve(mpxmbo, owner), attr)), (owner, attr)
+    assert isinstance(mpxmbo.USING_NUMBA, bool)

@@ -95,9 +95,7 @@ def _suffix_table(S, n_c, a):
     for q in range(b):
         p = a + q
         z = y[:, :: n_c ** (b - 1 - q)]  # each (y_0 .. y_q) once
-        same = np.zeros(z.shape[1])
-        for r in range(q):
-            same += np.where(z[r] == z[q], S[a + r, p], 0.0)
+        same = np.where(z[:q] == z[q], S[a:p, p, None], 0.0).sum(axis=0)
         internal = np.repeat(internal, n_c) + (S[p, p] + 2.0 * same)
         # a label more than one above the suffix's own maximum so far must
         # be covered by the prefix: max(x) >= y_q - 1

@@ -49,7 +49,12 @@ def _fmt(x):
 
 
 def _gamma_flag(text):
-    vals = tuple(float(part) for part in text.split(","))
+    """One number, or comma-separated per-layer numbers."""
+    try:
+        vals = tuple(float(part) for part in text.split(","))
+    except ValueError:
+        msg = f"expects a number or comma-separated numbers, got {text!r}"
+        raise argparse.ArgumentTypeError(msg) from None
     return vals[0] if len(vals) == 1 else vals
 
 

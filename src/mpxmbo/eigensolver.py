@@ -31,11 +31,8 @@ Memory stays at V (dim x (m + 1)) plus the basis (dim x k) plus O(dim):
 each restart compresses V in place by row blocks of about dim doubles,
 the Ritz block is read from the compressed V and copied out only once
 certified, each pair is certified with one work vector, and a resumed
-solve frees the previous basis once it is copied into V.  A GEMM may
-sum an entry in another order when its rows are blocked: OpenBLAS kept
-the bits of one full product at every (dim, k) tried, up to (40000, 40),
-but other shapes may move eigenvector bits at rounding level.  Each
-residual is one vector's norm, which may round unlike a block's norm.
+solve frees the previous basis once it is copied into V.  README
+"Determinism" says which settings may change the basis bits.
 """
 
 from __future__ import annotations

@@ -20,13 +20,10 @@ those k x n_c values), multiplies it by Phi one row block at a time and
 writes each block's row argmax into a reused label array.  Then it keeps
 W up to date from the moved rows only: each moved row of Phi is added to
 its new column and subtracted from its old one.  So a run takes
-O(nL + k n_c) memory plus one row block of about 2^16 entries, and its
-diffused values may differ by rounding from those of `diffusion_step`,
-which forms Phi^T U afresh; tests check the partitions against
-`diffusion_step` and `threshold`, with the same rule for unreached rows,
-byte for byte.  The run's `Partition` is built once, at its end;
-`diffusion_step`, `threshold` and `Partition.one_hot` remain the public
-library steps.
+O(nL + k n_c) memory plus one row block of about 2^16 entries.  The
+run's `Partition` is built once, at its end; `diffusion_step`,
+`threshold` and `Partition.one_hot` remain the public library steps.
+README "Determinism" says which settings may change a run's bits.
 
 Every run draws its initial assignment from a counter-based generator
 keyed by seed XOR run_index, so results are reproducible and independent
@@ -221,11 +218,8 @@ def mbo_run(basis, config, init, net, deg, run_index=0):
     decay = np.exp(config.dt * (basis.eigenvalues - top))[:, None]
     step = max(2, _BLOCK // max(n_c, k))
     # each block has at least step >= 2 rows: numpy multiplies a single row
-    # by GEMV, whose sums round differently from the GEMM of the other blocks.
-    # Row blocks of one GEMM kept the bits of a full product with OpenBLAS at
-    # the shapes of data/ and the benchmark workloads, but not at every shape
-    # (k = 30, n_c = 10, nL = 8000 already differs at the default step), so _BLOCK
-    # may move diffused values at rounding level and a label only at a near-tie
+    # by GEMV, whose sums round differently from the GEMM of the other blocks;
+    # what _BLOCK may change is in README "Determinism"
     nblocks = max(1, nL // step)
     bounds = [nL * b // nblocks for b in range(nblocks + 1)]
     # An eigenvector entry is known only to about eig_tol * scale / gap, so

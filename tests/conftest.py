@@ -11,6 +11,7 @@ file loaders.  The network builders and writers (dense layers in, canonical
 files out) and the file generators serve tests only.
 """
 
+import os
 import re
 from pathlib import Path
 
@@ -626,6 +627,23 @@ def random_partition(rng, nL, n_c):
 
 
 # ------------------------------------------------------------------ fixtures
+
+
+@pytest.fixture
+def pipe_path():
+    """A /dev/fd path to a pipe holding the given text; it reads only once."""
+    fds = []
+
+    def make(text):
+        r, w = os.pipe()
+        fds.append(r)
+        os.write(w, text.encode("utf-8"))
+        os.close(w)
+        return f"/dev/fd/{r}"
+
+    yield make
+    for fd in fds:
+        os.close(fd)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 """Acceptance checks: one test and one printed pass/fail line per criterion."""
 
+import os
 import time
 
 import numpy as np
@@ -265,7 +266,9 @@ def test_criterion_7_metric_properties(announce):
     announce(ok, "criterion 7: metric properties hold exactly")
 
 
-def test_criterion_8_determinism_across_threads(announce, tmp_path, capsys):
+def test_criterion_8_determinism_across_threads(announce, tmp_path, capsys, monkeypatch):
+    # four CPUs, so that --threads 4 starts a pool on any host
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     blobs = []
     for name, threads in (("a", "1"), ("b", "1"), ("c", "4")):
         out = tmp_path / f"{name}.tsv"

@@ -58,19 +58,6 @@ def test_detect_florentine_summary(capsys, tmp_path):
     assert re.fullmatch(r"0\.\d{12}", get_field(out, "modularity"))
 
 
-def test_detect_deterministic_files(capsys, tmp_path):
-    paths = [tmp_path / f"p{i}.tsv" for i in range(3)]
-    base = [
-        "detect", "--input", FLORENTINE, "--method", "dgfm3", "--nc", "3",
-        "--k", "7", "--gamma", "0.6", "--runs", "6", "--seed", "7",
-    ]
-    run_cli(capsys, *base, "--out", str(paths[0]))
-    run_cli(capsys, *base, "--out", str(paths[1]))
-    run_cli(capsys, *base, "--out", str(paths[2]), "--threads", "4")
-    blobs = [p.read_bytes() for p in paths]
-    assert blobs[0] == blobs[1] == blobs[2]
-
-
 def test_detect_missing_required_flag(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(
@@ -108,6 +95,20 @@ def test_gamma_flag_forms(capsys, tmp_path):
     with pytest.raises(SystemExit) as info:
         cli.main(base + ["--gamma", "0.6,oops", "--out", str(tmp_path / "d.tsv")])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("gamma", ["0.6,", "a"])
+def test_malformed_gamma_is_a_usage_error(capsys, tmp_path, gamma):
+    with pytest.raises(SystemExit) as info:
+        cli.main(
+            ["eval", "--input", FLORENTINE, "--partition", str(tmp_path / "p.tsv"),
+             "--gamma", gamma]
+        )  # fmt: skip
+    stdout, err = capsys.readouterr()
+    assert (info.value.code, stdout) == (2, "")
+    assert err.startswith("usage: mpxmbo eval")
+    text = f"expects a number or comma-separated numbers, got {gamma!r}"
+    assert err.endswith(f"mpxmbo eval: error: argument --gamma: {text}\n")
 
 
 def test_eval_reproduces_detect_q(capsys, tmp_path):
@@ -639,23 +640,6 @@ def test_grid_prefers_three_communities(capsys, tmp_path):
     assert rows[(3, 7)] == max(rows.values())
     assert "best: n_c=" in out
     assert out_file.read_text().startswith("n_c\tk\tmodularity\n")
-
-
-def test_grid_single_cell_matches_detect(capsys, tmp_path):
-    rc, grid_out, _ = run_cli(
-        capsys,
-        "grid", "--input", FLORENTINE, "--method", "mpbtv", "--gamma", "0.6",
-        "--nc-range", "3:3", "--k-range", "4:4", "--runs", "8", "--seed", "5",
-    )
-    assert rc == 0
-    cell = re.search(r"^3\t4\t(\S+)$", grid_out, re.M).group(1)
-    _, det_out, _ = run_cli(
-        capsys,
-        "detect", "--input", FLORENTINE, "--method", "mpbtv", "--nc", "3",
-        "--k", "4", "--gamma", "0.6", "--runs", "8", "--seed", "5",
-        "--out", str(tmp_path / "p.tsv"),
-    )
-    assert cell == get_field(det_out, "modularity")
 
 
 def test_grid_truncation_consistent_with_fresh_basis(capsys, tmp_path):

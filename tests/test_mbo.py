@@ -414,7 +414,9 @@ def assert_same_runs(a, a_parts, b, b_parts):
         assert out.best.partition is parts[out.best.run_index]
 
 
-def test_detect_threads_do_not_change_results(florentine, detect_recorded):
+def test_detect_threads_do_not_change_results(monkeypatch, florentine, detect_recorded):
+    # four CPUs, so that threads=4 starts a pool on any host
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     net, deg = florentine
     config = DetectConfig(method="mpbtv", n_c=3, k=4, gamma=0.6, n_runs=8, seed=3)
     seq, seq_parts = detect_recorded(net, deg, config, threads=1)

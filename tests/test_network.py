@@ -821,23 +821,6 @@ def test_bytes_not_utf8_name_their_line(tmp_path, body, line, message):
         os.close(r)
 
 
-@pytest.fixture
-def pipe_path():
-    """A /dev/fd path to a pipe holding the given text; it reads only once."""
-    fds = []
-
-    def make(text):
-        r, w = os.pipe()
-        fds.append(r)
-        os.write(w, text.encode("utf-8"))
-        os.close(w)
-        return f"/dev/fd/{r}"
-
-    yield make
-    for fd in fds:
-        os.close(fd)
-
-
 def test_range_error_in_a_pipe_names_its_line(pipe_path):
     path = pipe_path("#multiplex n=2 L=1\n1\t1\t3\n")
     with pytest.raises(NetworkFormatError, match="line 2: node id out of range 1..2"):

@@ -29,7 +29,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .eigensolver import ConvergenceError, basis_for_method, load_basis, save_basis
+from .eigensolver import METHODS, ConvergenceError, basis_for_method, load_basis, save_basis
 from .mbo import DetectConfig, detect
 from .metrics import evaluate, oracle_max_modularity
 from .network import (
@@ -110,7 +110,7 @@ def build_parser():
 
     p = sub.add_parser("detect", help="detect communities and write the best partition")
     _add_network_args(p)
-    p.add_argument("--method", required=True, choices=("mpbtv", "dgfm3"))
+    p.add_argument("--method", required=True, choices=tuple(METHODS))
     p.add_argument("--nc", type=int, required=True, help="maximum number of communities")
     p.add_argument("--k", type=int, required=True, help="spectral basis size")
     _add_run_args(p)
@@ -147,7 +147,7 @@ def build_parser():
 
     p = sub.add_parser("grid", help="sweep community counts and basis sizes")
     _add_network_args(p)
-    p.add_argument("--method", required=True, choices=("mpbtv", "dgfm3"))
+    p.add_argument("--method", required=True, choices=tuple(METHODS))
     p.add_argument("--nc-range", type=_range, required=True, help="inclusive range, e.g. 2:5")
     p.add_argument("--k-range", type=_range, required=True, help="inclusive range, e.g. 3:10")
     _add_run_args(p)
@@ -217,9 +217,9 @@ def _config(args, n_c, k):
 
 
 def cmd_detect(args):
+    config = _config(args, args.nc, args.k)
     net, deg, gamma = _load(args)
     truth = load_labels(args.truth, net) if args.truth else None
-    config = _config(args, args.nc, args.k)
     config.check(net)
     basis = key = None
     if args.basis_cache:
@@ -308,12 +308,13 @@ def cmd_oracle(args):
 
 
 def cmd_grid(args):
-    net, deg, gamma = _load(args)
     (nc_lo, nc_hi), (k_lo, k_hi) = args.nc_range, args.k_range
     # every check on a cell is a bound on n_c or k, so the two corner cells
     # reject a bad range before the solve and before any row is printed
-    for n_c, k in ((nc_lo, k_lo), (nc_hi, k_hi)):
-        _config(args, n_c, k).check(net)
+    corners = [_config(args, n_c, k) for n_c, k in ((nc_lo, k_lo), (nc_hi, k_hi))]
+    net, deg, gamma = _load(args)
+    for config in corners:
+        config.check(net)
     # one offline solve at the largest k; smaller cells truncate columns,
     # which is sound because each eigenpair is certified individually
     basis = basis_for_method(

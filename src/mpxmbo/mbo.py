@@ -269,8 +269,8 @@ def detect(net, deg, config, basis=None, threads=1):
         When omitted, the basis is computed here and the time reported as
         ``offline_seconds``.
     threads : int
-        Worker threads for the runs, at least 1; at most the CPU count are
-        started.  Results are identical for any value; only timings change.
+        Worker threads, at least 1; at most the CPU count and the run
+        count are started.  Results are identical for any value; only timings change.
 
     Returns
     -------
@@ -333,8 +333,8 @@ def detect(net, deg, config, basis=None, threads=1):
 
     t1 = time.perf_counter()
     # each worker holds one run's labels and row block: start no more
-    # workers than there are CPUs to keep busy
-    workers = min(threads, os.cpu_count() or 1)
+    # workers than there are CPUs or runs to keep busy
+    workers = min(threads, os.cpu_count() or 1, config.n_runs)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(work, range(workers)))

@@ -333,7 +333,7 @@ def _read_rows(path, kinds, what, expected, mixed=None):
     rows = _Rows(path, text, comments, first and first.start())
     width = len(first.group().split()) if first else 0
     if width in kinds and not bad and not in_field:  # loadtxt would cut a field at its #
-        rows.cols = _loadtxt(rows.path, data, kinds[width], width)
+        rows.cols = _loadtxt(rows, kinds[width], width)
     if rows.cols is None:
         rows.cols, rows.fault = _tokenize(text, kinds, what, expected, mixed, bad)
     return rows
@@ -351,15 +351,13 @@ def _comments(text):
     return found, False
 
 
-def _loadtxt(path, data, kind, width):
-    """`_tokenize`'s columns, read by `np.loadtxt` from the file or from its
-    bytes ``data``; None if it refuses a line."""
+def _loadtxt(rows, kind, width):
+    """`_tokenize`'s columns, read by `np.loadtxt` from the file or from
+    ``rows.text``; None if it refuses a line."""
     dtype = [(f"c{j}", _DTYPES[t]) for j, t in enumerate(kind[:width])]
     # loadtxt reads a named file in C chunks, but decompresses these and fetches URL-like names
-    if os.path.isfile(path) and os.path.splitext(path)[1] not in _PACKED:
-        source = os.path.join(os.getcwd(), path)
-    else:
-        source = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    named = os.path.isfile(rows.path) and os.path.splitext(rows.path)[1] not in _PACKED
+    source = os.path.join(os.getcwd(), rows.path) if named else io.StringIO(rows.text)
     try:
         with warnings.catch_warnings():
             # older numpy reads "1.0" in an int column, with only this warning

@@ -8,7 +8,7 @@ over `dense_modularity` and the dense truth scores do the same for
 `multiplex_modularity`, `nmi` and `matched_accuracy`, a whole-table oracle
 kernel for `enumerate_partitions`, and the line-loop loaders for the four
 file loaders.  The network builders and writers (dense layers in, canonical
-files out) and the file generators serve tests only.
+files out), the file generators and the README readers serve tests only.
 """
 
 import os
@@ -30,6 +30,25 @@ from mpxmbo import (
 )
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+
+
+# -------------------------------------------------------------------- README
+
+
+def readme_section(title):
+    """The text of README's ``## title`` section, up to the next section."""
+    text = (DATA_DIR.parent / "README.md").read_text(encoding="utf-8")
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def readme_command_line():
+    """README "Command line": its example's argv after ``mpxmbo``, and the
+    modularity the paragraph below it states, as printed."""
+    section = readme_section("Command line")
+    command = re.search(r"^```sh\n(.*?)^```", section, re.M | re.S).group(1)
+    argv = command.replace("\\\n", " ").split()
+    assert argv[0] == "mpxmbo", argv
+    return argv[1:], re.search(r"with modularity (\d\.\d+)", section).group(1)
 
 
 # ------------------------------------------------------ builders and writers

@@ -13,7 +13,13 @@ import pytest
 
 from mpxmbo import cli, load_basis, load_network, mbo
 
-from conftest import planted_network, save_network, toarray
+from conftest import (
+    planted_network,
+    readme_command_line,
+    readme_section,
+    save_network,
+    toarray,
+)
 
 FLORENTINE = "data/florentine.mpx"
 TRIANGLES = "data/two_triangles.mpx"
@@ -23,6 +29,31 @@ def run_cli(capsys, *argv):
     rc = cli.main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def run_fresh(argvs, **env):
+    """Run ``cli.main`` on each argv in one fresh interpreter, with ``env``
+    added to its environment: each call's stdout, and every module the
+    process imported."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from mpxmbo import cli\n"
+        "outs = []\n"
+        "for a in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        assert cli.main(a) == 0, a\n"
+        "    outs.append(out.getvalue())\n"
+        "print(json.dumps([outs, [k for k, m in sys.modules.items() if m is not None]]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )  # fmt: skip
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def get_field(out, name):
@@ -575,6 +606,14 @@ def test_partitions_stable_across_blas_threads(tmp_path):
         (TRIANGLES, "2", "2"),
         (str(planted), "4", "6"),
     ]
+    # README "Library"'s dgfm3 example: four node-layer pairs lie outside its
+    # top 7 eigenvectors and take community 1 by rule, not by how the BLAS
+    # rounds, so it reaches the modularity README "Command line" states
+    assert 'DetectConfig(method="dgfm3", n_c=3, k=7, gamma=0.6, n_runs=50, seed=7)' in (
+        readme_section("Library")
+    )
+    library = ["--method", "dgfm3", "--nc", "3", "--k", "7", "--gamma", "0.6",
+               "--runs", "50", "--seed", "7"]  # fmt: skip
     blobs = {}
     for threads in ("1", "2"):
         out = tmp_path / threads
@@ -585,19 +624,31 @@ def test_partitions_stable_across_blas_threads(tmp_path):
             for i, (path, nc, k) in enumerate(cases)
             for method in ("mpbtv", "dgfm3")
         ]  # fmt: skip
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = "import json, sys\nfrom mpxmbo import cli\nfor a in json.loads(sys.argv[1]):\n"
-        code += "    assert cli.main(a) == 0, a\n"
-        proc = subprocess.run(
-            [sys.executable, "-c", code, json.dumps(argvs)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
+        argvs.append(["detect", "--input", FLORENTINE, *library, "--out", str(out / "readme.tsv")])
+        outs, _ = run_fresh(argvs, OPENBLAS_NUM_THREADS=threads)
+        assert get_field(outs[-1], "modularity") == readme_command_line()[1]
         blobs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-    assert len(blobs["1"]) == 6
+    assert len(blobs["1"]) == 7
     assert blobs["1"] == blobs["2"]
+
+
+def test_command_line_never_imports_scipy(tmp_path):
+    # scipy is a test extra only; with it installed, each subcommand runs in
+    # one fresh process, so an import that would be allowed to fail still shows
+    part, cache = str(tmp_path / "part.tsv"), str(tmp_path / "basis.npz")
+    florentine = ["--input", FLORENTINE, "--nc", "3", "--k", "4"]
+    _, modules = run_fresh([
+        ["detect", *florentine, "--method", "dgfm3", "--out", part],
+        ["detect", *florentine, "--method", "mpbtv", "--basis-cache", cache,
+         "--out", str(tmp_path / "mp.tsv")],
+        ["eval", "--input", FLORENTINE, "--partition", part, "--truth", part],
+        ["spectrum", "--input", FLORENTINE, "--operator", "lk", "--k", "4"],
+        ["oracle", "--input", TRIANGLES, "--nc", "2"],
+        ["grid", "--input", FLORENTINE, "--method", "dgfm3", "--nc-range", "2:3",
+         "--k-range", "3:4", "--runs", "2"],
+    ])  # fmt: skip
+    assert "mpxmbo.cli" in modules
+    assert not [m for m in modules if m == "scipy" or m.startswith("scipy.")]
 
 
 def test_oracle_two_triangles(capsys, tmp_path):
@@ -612,6 +663,39 @@ def test_oracle_two_triangles(capsys, tmp_path):
     assert get_field(out, "communities found") == "2"
     labels = [line.split("\t")[2] for line in out_file.read_text().splitlines()]
     assert labels[:3] != labels[3:] and len(set(labels[:3])) == 1
+
+
+def _random_multiplex(path, n, L, draws, seed):
+    # `draws` random edge lines per layer: repeats are summed on load, and
+    # self-loops are left out
+    e = np.random.default_rng(seed).integers(1, n + 1, (L, draws, 2))
+    lines = [f"{i + 1} {u} {v}\n" for i in range(L) for u, v in e[i] if u != v]
+    path.write_text(f"#multiplex n={n} L={L}\n" + "".join(lines), encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "network, nc, flags",
+    [
+        ((9, 2, 14, 3), "2", ["--omega", "0.5"]),
+        ((23, 1, 40, 4), "2", []),  # nL = 23, the --nc 2 limit: 1024 prefixes
+        ((7, 2, 12, 5), "3", ["--omega", "0.5"]),
+        (None, "3", ["--gamma", "0.6"]),  # two triangles
+    ],
+    ids=["nine", "limit", "seven", "triangles"],
+)
+def test_oracle_partition_scores_its_maximum_under_eval(capsys, tmp_path, network, nc, flags):
+    # eval of the partition the oracle writes prints the modularity the
+    # oracle printed, digit for digit
+    path, part = TRIANGLES, str(tmp_path / "oracle.tsv")
+    if network:
+        path = tmp_path / "net.mpx"
+        _random_multiplex(path, *network)
+    base = ["--input", str(path), *flags]
+    rc, out, _ = run_cli(capsys, "oracle", *base, "--nc", nc, "--out", part)
+    assert rc == 0
+    rc, scored, _ = run_cli(capsys, "eval", *base, "--partition", part)
+    assert rc == 0
+    assert get_field(scored, "modularity") == get_field(out, "maximum modularity")
 
 
 def test_oracle_size_guard(capsys):
@@ -710,6 +794,45 @@ def test_grid_bad_cell_fails_before_the_solve(capsys, tmp_path, nc_range, k_rang
         "grid", "--input", FLORENTINE, "--method", "dgfm3", "--nc-range", nc_range,
         "--k-range", k_range, "--runs", "2", "--out", str(out),
     )
+    assert (rc, stdout, err) == (1, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--runs", "0", "n_runs must be >= 1"),
+        ("--dt", "0", "dt must be positive"),
+        ("--max-iter", "-1", "max_iter must be >= 0"),
+        ("--nc", "1", "n_c must be >= 2"),
+        ("--k", "0", "k must be >= 1"),
+        ("--gamma", "0", "resolution parameters must be positive and finite"),
+        ("--tol", "0", "tolerances must be positive"),
+        ("--tol", "-1e-8", "tolerances must be positive"),
+        ("--eig-tol", "0", "tolerances must be positive"),
+        ("--eig-tol", "-1e-8", "tolerances must be positive"),
+    ],
+)
+@pytest.mark.parametrize("command", ["detect", "grid"])
+def test_bad_run_flag_fails_before_reading(
+    capsys, tmp_path, monkeypatch, command, flag, value, message
+):
+    # a flag DetectConfig rejects ends detect and grid (through a corner
+    # cell of its ranges) before the network is read; nothing is written
+    monkeypatch.setattr(cli, "load_network", lambda *a, **k: pytest.fail("network read"))
+    shape = {"--nc": "3", "--k": "4"}
+    extra = [f"{flag}={value}"]
+    if flag in shape:
+        shape[flag], extra = value, []
+    if command == "detect":
+        shape = ["--nc", shape["--nc"], "--k", shape["--k"]]
+    else:
+        shape = ["--nc-range", f"{shape['--nc']}:3", "--k-range", f"{shape['--k']}:4"]
+    out = tmp_path / "out.tsv"
+    rc, stdout, err = run_cli(
+        capsys, command, "--input", FLORENTINE, "--method", "dgfm3", *shape, *extra,
+        "--out", str(out),
+    )  # fmt: skip
     assert (rc, stdout, err) == (1, "", f"error: {message}\n")
     assert not out.exists()
 

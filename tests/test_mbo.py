@@ -503,10 +503,11 @@ def test_detect_starts_at_most_the_cpu_count(monkeypatch, two_triangles, detect_
 
     monkeypatch.setattr(mbo, "ThreadPoolExecutor", FakePool)
     net, deg = two_triangles
-    config = DetectConfig(method="dgfm3", n_c=2, k=2, n_runs=5, seed=4)
-    seq, seq_parts = detect_recorded(net, deg, config, threads=1)
-    # one CPU, or an unknown count, takes the sequential path: no pool at all
-    for cpus, want in ((3, [3]), (1, []), (None, [])):
+    # no more workers than runs either; one CPU, one run, or an unknown CPU
+    # count takes the sequential path: no pool at all
+    for cpus, runs, want in ((3, 5, [3]), (8, 5, [5]), (8, 1, []), (1, 5, []), (None, 5, [])):
+        config = DetectConfig(method="dgfm3", n_c=2, k=2, n_runs=runs, seed=4)
+        seq, seq_parts = detect_recorded(net, deg, config, threads=1)
         sizes.clear()
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         out, parts = detect_recorded(net, deg, config, threads=10**6)

@@ -1,6 +1,6 @@
 """The package's public surface: each module's __all__, exported once, the
-equality rule of its records, README's library examples, and the names the
-benchmark's tracer patches."""
+equality rule of its records, README's library and command line examples,
+and the names the benchmark's tracer patches."""
 
 import importlib.util
 import re
@@ -8,8 +8,8 @@ import re
 import numpy as np
 
 import mpxmbo
-from conftest import DATA_DIR
-from mpxmbo import eigensolver, mbo, metrics, network, operators
+from conftest import DATA_DIR, readme_command_line, readme_section
+from mpxmbo import cli, eigensolver, mbo, metrics, network, operators
 
 ROOT = DATA_DIR.parent
 
@@ -76,14 +76,22 @@ def test_public_records_follow_one_equality_rule():
 
 
 def test_readme_library_examples_run(monkeypatch):
-    text = (ROOT / "README.md").read_text(encoding="utf-8")
-    library = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
-    blocks = re.findall(r"^```python\n(.*?)^```", library, re.M | re.S)
+    blocks = re.findall(r"^```python\n(.*?)^```", readme_section("Library"), re.M | re.S)
     assert blocks
     monkeypatch.chdir(ROOT)
     namespace = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
+
+
+def test_readme_command_line_example(capsys, monkeypatch, tmp_path):
+    # the command of README "Command line", as written there, run where its
+    # relative paths resolve, prints the modularity README states
+    argv, stated = readme_command_line()
+    (tmp_path / "data").symlink_to(DATA_DIR)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 0
+    assert re.search(rf"^modularity: {re.escape(stated)}$", capsys.readouterr().out, re.M)
 
 
 def test_benchmark_tracer_names_resolve():

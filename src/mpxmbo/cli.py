@@ -89,13 +89,13 @@ def _add_run_args(p):
     p.add_argument("--runs", type=int, default=20, help="number of random restarts")
     p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     p.add_argument("--max-iter", type=int, default=300, help="sweep budget per run")
-    p.add_argument("--tol", type=float, default=1e-8, help="stopping tolerance on indicator change")
     p.add_argument(
         "--eig-tol",
         type=float,
         default=1e-8,
-        help="eigensolver residual tolerance; also the cut below which a basis row, "
-        "relative to the largest, is unreached and takes community 1",
+        help="eigensolver residual tolerance, in (0, 1); also the cut below which a basis "
+        "row, relative to the largest, is unreached and takes community 1, so at 1 or "
+        "more every row would",
     )
     p.add_argument("--threads", type=int, default=1, help="worker threads, at most the CPU count")
 
@@ -210,7 +210,6 @@ def _config(args, n_c, k):
         dt=args.dt,
         n_runs=args.runs,
         max_iter=args.max_iter,
-        tol=args.tol,
         seed=args.seed,
         eig_tol=args.eig_tol,
     )

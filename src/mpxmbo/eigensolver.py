@@ -127,17 +127,18 @@ def _orthonormal_random(basis, ncols, rng, dim):
     return None
 
 
-def _compress(V, s, ncols, keep):
-    """Set V[:, :keep] = V[:, :ncols] @ s[:, :keep] in place, by row blocks.
+def _row_blocks(rows, count):
+    """Bounds of max(1, min(count, rows // 2)) near-equal row blocks, none of
+    one row: numpy multiplies a single row by GEMV, whose sums round
+    differently from the GEMM of the other blocks."""
+    n = max(1, min(count, rows // 2))
+    return [rows * b // n for b in range(n + 1)]
 
-    Each block's product holds about dim doubles.  Every block has at
-    least two rows: numpy multiplies a single row by GEMV, whose sums
-    round differently from the GEMM of the other blocks.
-    """
-    dim = V.shape[0]
-    nblocks = max(1, min(keep, dim // 2))
-    for b in range(nblocks):
-        lo, hi = dim * b // nblocks, dim * (b + 1) // nblocks
+
+def _compress(V, s, ncols, keep):
+    """Set V[:, :keep] = V[:, :ncols] @ s[:, :keep] in place, in keep row blocks."""
+    bounds = _row_blocks(V.shape[0], keep)
+    for lo, hi in zip(bounds, bounds[1:]):
         V[lo:hi, :keep] = V[lo:hi, :ncols] @ s[:, :keep]
 
 

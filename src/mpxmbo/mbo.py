@@ -8,8 +8,8 @@ thresholding sends every row back to the nearest vertex of the simplex
 a row of the basis that the eigensolver does not resolve, one whose norm
 is at most eig_tol times the largest row norm: no basis vector reaches
 it, so it takes the label of an all-zero row, community 1, and never the
-argmax of rounding residue.  The run stops when the indicator stops
-changing (Frobenius difference below tol) or after max_iter sweeps.
+argmax of rounding residue.  The run stops when a sweep moves no label,
+the fixed point of thresholding, or after max_iter sweeps.
 `detect` repeats this from independent random initial assignments and
 keeps the partition with the largest multiplex modularity.
 
@@ -37,7 +37,6 @@ threads + 1 partitions, O(threads nL), plus O(runs) scalars.
 
 from __future__ import annotations
 
-import math
 import os
 import threading
 import time
@@ -47,7 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import metrics
-from .eigensolver import METHODS, SpectralBasis, basis_for_method
+from .eigensolver import METHODS, SpectralBasis, _row_blocks, basis_for_method
 from .network import Partition, gamma_vector
 
 __all__ = [
@@ -71,7 +70,8 @@ class DetectConfig:
     eigensolver start vector and the per-run initial assignments.
     ``eig_tol`` is the eigensolver's residual tolerance, and also the cut
     below which a row of the basis is unreached: a row whose norm is at
-    most eig_tol times the largest row norm takes community 1.
+    most eig_tol times the largest row norm takes community 1, so eig_tol
+    lies in (0, 1), since at 1 every row would.
     """
 
     method: str
@@ -81,7 +81,6 @@ class DetectConfig:
     dt: float = 1.0
     n_runs: int = 20
     max_iter: int = 300
-    tol: float = 1e-8
     seed: int = 0
     eig_tol: float = 1e-8
 
@@ -102,8 +101,10 @@ class DetectConfig:
             raise ValueError("n_runs must be >= 1")
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
-        if not (self.tol > 0 and self.eig_tol > 0):
+        if not self.eig_tol > 0:
             raise ValueError("tolerances must be positive")
+        if self.eig_tol >= 1:
+            raise ValueError("eig_tol must be below 1, or every basis row is unreached")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -216,12 +217,10 @@ def mbo_run(basis, config, init, net, deg, run_index=0):
     # finite when the leading eigenvalues are large and positive.
     top = max(float(basis.eigenvalues[0]), 0.0)
     decay = np.exp(config.dt * (basis.eigenvalues - top))[:, None]
+    # blocks of at least step >= 2 rows; what _BLOCK may change is in
+    # README "Determinism"
     step = max(2, _BLOCK // max(n_c, k))
-    # each block has at least step >= 2 rows: numpy multiplies a single row
-    # by GEMV, whose sums round differently from the GEMM of the other blocks;
-    # what _BLOCK may change is in README "Determinism"
-    nblocks = max(1, nL // step)
-    bounds = [nL * b // nblocks for b in range(nblocks + 1)]
+    bounds = _row_blocks(nL, nL // step)
     # An eigenvector entry is known only to about eig_tol * scale / gap, so
     # a row of phi whose norm is at most eig_tol times the largest row norm
     # is rounding residue: it takes the tie rule's label of an all-zero row.
@@ -245,7 +244,7 @@ def mbo_run(basis, config, init, net, deg, run_index=0):
         iterations += 1
         moved = np.flatnonzero(new != labels)
         labels, new = new, labels
-        if math.sqrt(2.0 * moved.size) < config.tol:
+        if not moved.size:
             converged = True
             break
         if iterations < config.max_iter:

@@ -807,10 +807,10 @@ def test_grid_bad_cell_fails_before_the_solve(capsys, tmp_path, nc_range, k_rang
         ("--nc", "1", "n_c must be >= 2"),
         ("--k", "0", "k must be >= 1"),
         ("--gamma", "0", "resolution parameters must be positive and finite"),
-        ("--tol", "0", "tolerances must be positive"),
-        ("--tol", "-1e-8", "tolerances must be positive"),
         ("--eig-tol", "0", "tolerances must be positive"),
         ("--eig-tol", "-1e-8", "tolerances must be positive"),
+        ("--eig-tol", "1", "eig_tol must be below 1, or every basis row is unreached"),
+        ("--eig-tol", "inf", "eig_tol must be below 1, or every basis row is unreached"),
     ],
 )
 @pytest.mark.parametrize("command", ["detect", "grid"])

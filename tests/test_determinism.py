@@ -1,5 +1,6 @@
-"""The determinism contract: each knob that README "Determinism" marks
-"nothing" changes no printed byte (timing lines aside) and no written file.
+"""The determinism contract: README "Determinism" classes every flag, and
+each knob that it marks "nothing" changes no printed byte (timing lines
+aside) and no written file.
 
 Each case moves one knob and runs `cli.main` on data/florentine.mpx and on
 a small generated network with a coupling file and per-layer gamma:
@@ -8,6 +9,7 @@ It compares stdout, timing lines dropped, and every file the command wrote
 with the reference runs, which all rows share, byte for byte.
 """
 
+import argparse
 import contextlib
 import io
 import os
@@ -18,7 +20,13 @@ import pytest
 
 from mpxmbo import cli
 
-from conftest import DATA_DIR, florentine_best_assignment, planted_network, save_network
+from conftest import (
+    DATA_DIR,
+    florentine_best_assignment,
+    planted_network,
+    readme_section,
+    save_network,
+)
 
 TIMING = re.compile(r"^[a-z ]+ seconds: .*\n", re.M)
 METHODS = ("mpbtv", "dgfm3")
@@ -186,3 +194,13 @@ def test_nothing_row_changes_no_byte(row, reference, tmp_path, monkeypatch, pipe
                 assert run(work / m, detect[m] + threads) == ref[m], (name, m)
         if row not in ("threads", "cache", "grid"):
             assert run(work / "eval", evaluate) == ref_eval, name
+
+
+def test_table_names_every_flag():
+    # every flag of every subcommand, help and the output path aside, is in
+    # the setting column of some row
+    settings = re.findall(r"^\| (.*?) \|", readme_section("Determinism"), re.M)
+    named = set(re.findall(r"--[a-z-]+", " ".join(settings)))
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {f for p in sub.choices.values() for a in p._actions for f in a.option_strings}
+    assert flags - named - {"-h", "--help", "--out"} == set()

@@ -167,32 +167,18 @@ def test_criterion_4_spectral_correctness(announce):
 
 
 def test_criterion_5_exponential_truncation(announce):
-    # (network, gamma, indicator, diffusion times): ten connected networks
-    # with random gamma, then six at gamma = 0.8, three of them from
-    # random_network (omega in {0, 0.5, 1}, not necessarily connected)
-    problems = []
     rng = np.random.default_rng(404)
+    worst = 0.0
     for trial in range(10):
         n = int(rng.integers(6, 34))
         L = int(rng.integers(1, 4))
         if n * L > 100:
             n = 100 // L
         net = connected_network(rng, n, L, omega=1.0)
-        gamma = random_gamma(rng, net.L)
-        problems.append((net, gamma, random_partition(rng, net.nL, 4), (0.5, 1.0)))
-    rng = np.random.default_rng(55)
-    for trial in range(6):
-        net = (
-            connected_network(rng, int(rng.integers(8, 30)), int(rng.integers(1, 4)))
-            if trial % 2
-            else random_network(rng, n_max=30)
-        )
-        problems.append((net, np.full(net.L, 0.8), random_partition(rng, net.nL, 4), (0.3, 1.0)))
-    worst = 0.0
-    for net, gamma, part, dts in problems:
         deg = compute_degrees(net)
-        u = part.one_hot()
-        for dt in dts:
+        gamma = random_gamma(rng, net.L)
+        u = random_partition(rng, net.nL, 4).one_hot()
+        for dt in (0.5, 1.0):
             op = modularity_op(net, deg, gamma)
             vals, vecs = np.linalg.eigh(to_dense(op))
             full = SpectralBasis(
@@ -214,7 +200,7 @@ def test_criterion_5_exponential_truncation(announce):
     announce(
         worst <= 1e-8,
         "criterion 5: k = nL diffusion matches dense exponential",
-        f"{len(problems)} networks, max entry error {worst:.2e}",
+        f"10 networks, max entry error {worst:.2e}",
     )
 
 

@@ -22,25 +22,48 @@ from mpxmbo import (
     multiplex_modularity,
     oracle_max_modularity,
     random_onehot_init,
+    shifted_neg_lk_op,
     threshold,
 )
 from mpxmbo import mbo
 from mpxmbo.mbo import run_rng
 
 from conftest import (
+    connected_network,
     florentine_best_assignment,
     from_dense_layers,
     planted_network,
+    random_network,
     to_dense,
 )
 
 
-def full_basis(op):
-    """Exact complete decomposition."""
+def full_basis(op, shift=0.0):
+    """Exact complete decomposition, for exponential comparisons."""
     vals, vecs = np.linalg.eigh(to_dense(op))
     return SpectralBasis(
-        vals[::-1].copy(), np.ascontiguousarray(vecs[:, ::-1]), np.zeros(op.dim), op.label
+        vals[::-1].copy(), np.ascontiguousarray(vecs[:, ::-1]), np.zeros(op.dim), op.label, shift
     )
+
+
+def expm(a):
+    """exp(a) by scaling and squaring a degree-18 Taylor polynomial.
+
+    Uses no eigendecomposition, so it checks diffusion independently; the
+    scaled matrix has 1-norm at most 1/2, where the dropped tail is below
+    1e-22 relative.
+    """
+    norm = np.abs(a).sum(axis=0).max()
+    squarings = max(0, int(np.ceil(np.log2(norm))) + 1) if norm > 0 else 0
+    x = a / 2.0**squarings
+    term = np.eye(len(a))
+    out = term.copy()
+    for j in range(1, 19):
+        term = term @ x / j
+        out += term
+    for _ in range(squarings):
+        out = out @ out
+    return out
 
 
 def test_init_uniform_and_reproducible():
@@ -112,6 +135,37 @@ def test_diffusion_rejects_wrong_shape(florentine):
         diffusion_step(basis, 1.0, np.ones(net.nL))
     with pytest.raises(ValueError):
         diffusion_step(basis, 1.0, np.ones((net.nL + 1, 3)))
+
+
+def test_full_basis_diffusion_matches_expm():
+    # with every eigenpair kept, one diffusion step is the exact matrix
+    # exponential; compare against scaling-and-squaring
+    rng = np.random.default_rng(55)
+    worst = 0.0
+    for trial in range(6):
+        net = (
+            connected_network(rng, int(rng.integers(8, 30)), int(rng.integers(1, 4)))
+            if trial % 2
+            else random_network(rng, n_max=30)
+        )
+        deg = compute_degrees(net)
+        gamma = np.full(net.L, 0.8)
+        u = random_onehot_init(net.nL, 4, rng).one_hot()
+        for dt in (0.3, 1.0):
+            op = modularity_op(net, deg, gamma)
+            ref = expm(dt * to_dense(op)) @ u
+            got = diffusion_step(full_basis(op), dt, u)
+            worst = max(worst, np.abs(got - ref).max())
+            op_s, sigma = shifted_neg_lk_op(net, deg, gamma)
+            neg_lk = to_dense(op_s) - sigma * np.eye(net.nL)
+            basis = full_basis(op_s, shift=sigma)
+            unshifted = SpectralBasis(
+                basis.eigenvalues - sigma, basis.eigenvectors, basis.residuals, op_s.label, sigma
+            )
+            ref = expm(dt * neg_lk) @ u
+            got = diffusion_step(unshifted, dt, u)
+            worst = max(worst, np.abs(got - ref).max())
+    assert worst <= 1e-8
 
 
 def test_threshold_rows():

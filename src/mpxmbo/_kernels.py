@@ -18,11 +18,9 @@ _CHUNK = 4096
 
 def csr_matvec(rows, cols, data, x, n):
     """y = A x for A stored as COO triples sorted by (row, col)."""
-    if data.size == 0:
-        return np.zeros(n)
     # bincount accumulates in storage order, so each row sums its entries
-    # by increasing column
-    return np.bincount(rows, weights=data * x[cols], minlength=n)
+    # by increasing column; on no entries it returns integer zeros
+    return np.bincount(rows, weights=data * x[cols], minlength=n).astype(np.float64, copy=False)
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,9 @@ run's `Partition` is built once, at its end; `diffusion_step`,
 `threshold` and `Partition.one_hot` remain the public library steps.
 README "Determinism" says which settings may change a run's bits.
 
-Every run draws its initial assignment from a counter-based generator
-keyed by seed XOR run_index, so results are reproducible and independent
-of execution order; running with a thread pool changes timings only.
+Run i draws its initial labels from child i of SeedSequence(seed), whose
+root stream the eigensolver draws: each (seed, run index) pair has its own
+stream, whatever the execution order; a thread pool changes timings only.
 `detect` compares each run with the best so far as soon as it ends, by
 (modularity, lower run index), and the loser drops its partition.  That
 order is total, so the tie rule (first maximum in index order) does not
@@ -66,8 +66,8 @@ class DetectConfig:
     """Parameters of one detection problem.
 
     ``gamma`` may be a scalar or a per-layer sequence; the coupling
-    strength is the network's own ``omega``.  ``seed`` keys both the
-    eigensolver start vector and the per-run initial assignments.
+    strength is the network's own ``omega``.  ``seed`` roots one
+    SeedSequence: the eigensolver draws its root stream, run i its child i.
     ``eig_tol`` is the eigensolver's residual tolerance, and also the cut
     below which a row of the basis is unreached: a row whose norm is at
     most eig_tol times the largest row norm takes community 1, so eig_tol
@@ -152,9 +152,8 @@ _BLOCK = 1 << 16
 
 
 def run_rng(seed, run_index):
-    """Counter-based generator for one run; independent of run order."""
-    key = (int(seed) ^ int(run_index)) & 0xFFFFFFFFFFFFFFFF
-    return np.random.Generator(np.random.Philox(key=key))
+    """Generator of one run: child ``run_index`` of ``SeedSequence(seed).spawn``."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(run_index,)))
 
 
 def random_onehot_init(nL, n_c, rng):

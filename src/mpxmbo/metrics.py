@@ -232,6 +232,7 @@ def oracle_max_modularity(net, deg, gamma, n_c):
     nL = net.nL
     if n_c**nL > _ORACLE_LIMIT:
         raise ValueError(f"exhaustive search too large: {n_c}**{nL} > {_ORACLE_LIMIT}")
+    # 1**nL passes the limit at any nL; without this the dense nL x nL matrix is built
     if n_c == 1:
         part = Partition(np.ones(nL, dtype=np.int64), 1)
         return multiplex_modularity(part, net, deg, gamma), part

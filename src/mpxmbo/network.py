@@ -124,9 +124,9 @@ class SparseSym:
         return self.data.size
 
     def row_sums(self):
-        if self.nnz == 0:
-            return np.zeros(self.n)
-        return np.bincount(self.rows, weights=self.data, minlength=self.n)
+        # bincount returns integer zeros for a matrix without entries
+        sums = np.bincount(self.rows, weights=self.data, minlength=self.n)
+        return sums.astype(np.float64, copy=False)
 
     def matvec(self, x):
         return _kernels.csr_matvec(self.rows, self.cols, self.data, x, self.n)

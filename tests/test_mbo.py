@@ -57,6 +57,27 @@ def test_run_rng_independent_of_order():
     b = [random_onehot_init(50, 3, run_rng(9, i)).assignment for i in reversed(range(5))]
     for x, y in zip(a, reversed(b)):
         assert np.array_equal(x, y)
+    # run i of seed s draws child i of SeedSequence(s), whatever the seed
+    for s in (0, 9, 2**64):
+        children = np.random.SeedSequence(s).spawn(5)
+        for i, child in enumerate(children):
+            assert np.array_equal(
+                run_rng(s, i).integers(2**63, size=8),
+                np.random.default_rng(child).integers(2**63, size=8),
+            )
+    # a seed sweep does not repeat its starts: seeds 0 and 31 share none of
+    # their 32 initial partitions, and a seed past 64 bits is its own seed
+    starts = {
+        s: {random_onehot_init(50, 3, run_rng(s, i)).assignment.tobytes() for i in range(32)}
+        for s in (0, 31)
+    }
+    assert len(starts[0]) == len(starts[31]) == 32
+    assert not starts[0] & starts[31]
+    assert not np.array_equal(
+        run_rng(2**64, 0).integers(2**63, size=8), run_rng(0, 0).integers(2**63, size=8)
+    )
+    with pytest.raises(ValueError):
+        run_rng(-1, 0)
 
 
 @pytest.mark.parametrize(

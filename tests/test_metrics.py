@@ -21,7 +21,7 @@ from mpxmbo import (
     nmi,
     oracle_max_modularity,
 )
-from mpxmbo import _kernels
+from mpxmbo import _kernels, metrics
 
 from conftest import (
     dense_modularity_value,
@@ -381,7 +381,12 @@ def test_oracle_two_triangles(two_triangles):
     assert len(set(lab[:3])) == 1 and len(set(lab[3:])) == 1 and lab[0] != lab[3]
 
 
-def test_oracle_single_community_shortcut(two_triangles):
+def test_oracle_single_community_shortcut(two_triangles, monkeypatch):
+    # n_c = 1 has one partition: the oracle must not build the dense matrix
+    def dense_matrix_built(*args):
+        raise AssertionError("the n_c = 1 oracle built the modularity matrix")
+
+    monkeypatch.setattr(metrics, "modularity_op", dense_matrix_built)
     net, deg = two_triangles
     q, part = oracle_max_modularity(net, deg, 1.0, 1)
     assert q == multiplex_modularity(P(np.ones(6, dtype=int)), net, deg, 1.0)

@@ -118,6 +118,9 @@ def test_empty_network_all_zero(tmp_path):
     assert deg.total_strength == 0.0
     assert not deg.supra_degrees.any()
     assert not deg.layer_strengths.any()
+    # np.bincount returns integer zeros when it is given no indices, weights or not
+    sums = (deg.intra_degrees, deg.layer_strengths, net.intra[0].matvec(np.ones(3)))
+    assert [a.dtype for a in sums] == [np.float64] * 3
 
 
 def test_total_strength_identity_exact_on_integer_weights():

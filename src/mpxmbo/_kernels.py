@@ -41,17 +41,17 @@ def label_edge_sums(rows, cols, data, labels, cross=False):
 # label 0 and position p may use labels 0..min(max_used+1, n_c-1).  This
 # visits every partition into at most n_c non-empty groups exactly once,
 # eliminating label permutations.  The score of an assignment is
-# sum_{i,j same label} S[i, j] (both orders, diagonal included).
+# sum_{i,j same label} S[i, j] (both orders, diagonal included); only the
+# diagonal and the upper triangle of S are read.
 #
 # Each string is a prefix x of length a followed by a suffix y of length
 # b = m - a, where b is the longest with n_c**b <= _CHUNK and a >= 1.
-# Prefixes are grown level by level, in lexicographic order, each new
-# position adding its share of the score; under the oracle's limit
-# n_c**m <= 10**7 and _CHUNK = 4096, a level holds at most 1024
-# prefixes (n_c = 2, m = 23).  The n_c**b suffixes are tabulated once, in
-# lexicographic order, with their internal score and the smallest prefix
-# maximum label that keeps x y a restricted growth string.  Each block of
-# prefixes is then scored against the whole table:
+# Prefixes are restricted growth strings, grown level by level, in
+# lexicographic order, each new position adding its share of the score;
+# under the oracle's limit n_c**m <= 10**7 and _CHUNK = 4096, a level
+# holds at most 1024 prefixes (n_c = 2, m = 23).  All n_c**b suffixes are
+# tabulated once, in lexicographic order, with their internal score, and
+# each block of prefixes is scored against the whole table:
 #     score(x y) = (score(x) + internal(y)) + 2 cross(x, y),
 #     cross(x, y) = sum_q G[x, y_q, q],  G[x, c, q] = sum_{i : x_i = c} S[i, a + q].
 # Both suffix sums are built along the suffix tree: level q holds each
@@ -61,9 +61,11 @@ def label_edge_sums(rows, cols, data, labels, cross=False):
 # the score of a string depends neither on the block it is scored in nor
 # on the number of threads, and the first maximum of a block in
 # row-major order is its lexicographically first.  cross is doubled only
-# at the end, since 2 G can overflow where the sum does not.  The pairs
-# that are not restricted growth strings get -inf; only a prefix whose
-# maximum label is below the table's largest requirement has any.
+# at the end, since 2 G can overflow where the sum does not.  No
+# completion is masked: one that is not a restricted growth string
+# scores bit for bit as its canonical relabelling, which moves only labels
+# absent from x (where G is exactly 0.0), keeps internal(y) (a function
+# of y's equality pattern alone) and comes earlier in x's row.
 
 
 def _extend(labels, maxl, score, S, n_c):
@@ -84,32 +86,26 @@ def _extend(labels, maxl, score, S, n_c):
 
 def _suffix_table(S, n_c, a):
     """Every suffix of positions a.. in lexicographic order: (labels,
-    internal score, smallest prefix maximum label that admits it), both
-    sums extended level by level along the suffix tree."""
+    internal score), the sums grown level by level along the suffix tree."""
     b = S.shape[0] - a
     y = np.indices((n_c,) * b).reshape(b, n_c**b)  # y[q] = y_q of each suffix
     internal = np.zeros(1)
-    need = np.zeros(1, dtype=np.int64)
     for q in range(b):
         p = a + q
         z = y[:, :: n_c ** (b - 1 - q)]  # each (y_0 .. y_q) once
         same = np.where(z[:q] == z[q], S[a:p, p, None], 0.0).sum(axis=0)
         internal = np.repeat(internal, n_c) + (S[p, p] + 2.0 * same)
-        # a label more than one above the suffix's own maximum so far must
-        # be covered by the prefix: max(x) >= y_q - 1
-        top = z[:q].max(axis=0, initial=-1)
-        need = np.maximum(np.repeat(need, n_c), np.where(z[q] > top + 1, z[q] - 1, 0))
-    return y.T, internal, need
+    return y.T, internal
 
 
-def _best_completion(labels, maxl, score, S, n_c, table):
+def _best_completion(labels, score, S, n_c, table):
     """First maximum, in lexicographic order, over each prefix followed by
-    each suffix it admits: (value, prefix, suffix index).
+    each suffix: (value, prefix, suffix index).
 
     G is built once; the prefixes are scored in blocks of about 16 * _CHUNK
     strings, each block's cross term grown between two block-sized buffers.
     """
-    y, internal, need = table
+    y, internal = table
     n, a = labels.shape
     b, width = y.shape[1], len(y)
     g = np.zeros((n, n_c, b))
@@ -118,7 +114,6 @@ def _best_completion(labels, maxl, score, S, n_c, table):
         g[at, labels[:, i]] += S[i, a:]
     rows = max(1, 16 * _CHUNK // width)
     bufs = [np.empty(min(rows, n) * width) for _ in range(2)]
-    highest = int(need.max())
     best = None
     for start in range(0, n, rows):
         x = g[start : start + rows]
@@ -135,8 +130,6 @@ def _best_completion(labels, maxl, score, S, n_c, table):
         np.add(score[start : start + r, None], internal, out=t)
         c *= 2.0
         t += c
-        for i in np.flatnonzero(maxl[start : start + r] < highest):
-            t[i, need > maxl[start + i]] = -np.inf
         k = int(np.argmax(t))
         if best is None or t.flat[k] > best[0]:
             best = (float(t.flat[k]), labels[start + k // width], k % width)
@@ -146,9 +139,10 @@ def _best_completion(labels, maxl, score, S, n_c, table):
 def enumerate_partitions(S, n_c):
     """Maximum of sum_{i,j same label} S[i, j] over partitions into <= n_c groups.
 
-    ``S`` must be symmetric.  Returns (value, labels) with 0-based labels;
-    among equal maxima the lexicographically first restricted growth
-    string wins.  The prefixes are grown level by level and held whole,
+    Reads only the diagonal and upper triangle of ``S``.  Returns (value,
+    labels), 0-based; among equal maxima the lexicographically first
+    restricted growth string wins.  Each prefix, a restricted growth
+    string, is scored against every suffix.  The prefixes are held whole,
     so their number, not ``_CHUNK``, sets the memory; ``_CHUNK`` bounds
     only the size of the suffix table and of each scoring block.
     """
@@ -161,5 +155,5 @@ def enumerate_partitions(S, n_c):
     while labels.shape[1] < m - b:
         labels, maxl, score = _extend(labels, maxl, score, S, n_c)
     table = _suffix_table(S, n_c, m - b)
-    value, prefix, j = _best_completion(labels, maxl, score, S, n_c, table)
+    value, prefix, j = _best_completion(labels, score, S, n_c, table)
     return value, np.concatenate([prefix, table[0][j]])

@@ -218,7 +218,6 @@ def cmd_detect(args):
     config = _config(args, args.nc, args.k)
     net, deg, gamma = _load(args)
     truth = load_labels(args.truth, net) if args.truth else None
-    config.check(net)
     basis = key = None
     if args.basis_cache:
         # one sha256 over the exact bytes of every parameter and of the

@@ -105,6 +105,8 @@ class DetectConfig:
             raise ValueError("tolerances must be positive")
         if self.eig_tol >= 1:
             raise ValueError("eig_tol must be below 1, or every basis row is unreached")
+        if not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

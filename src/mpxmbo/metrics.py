@@ -211,15 +211,14 @@ def oracle_max_modularity(net, deg, gamma, n_c):
     """Global maximum of multiplex modularity over partitions into <= n_c groups.
 
     Scores every canonical label assignment (label permutations are
-    visited once) against the matrix of `modularity_op`, applied to the
-    identity and mirrored from its upper triangle, with no bounding or
-    pruning: prefixes are grown level by level, and each block of them
-    is scored against all n_c**b suffixes (b < nL the longest with
-    n_c**b <= 4096), whose sums are grown along the suffix tree
-    (``_kernels.enumerate_partitions``).  Instances with n_c**nL beyond
-    10**7 are rejected, so a level holds at most 1024 prefixes and memory
-    does not grow with nL.  The returned modularity is recomputed from the
-    winning partition with `multiplex_modularity`.
+    visited once) against the matrix of `modularity_op` applied to the
+    identity, with no bounding or pruning: prefixes are grown level by
+    level, and each block of them is scored against all n_c**b suffixes
+    (b < nL the longest with n_c**b <= 4096), whose sums are grown along
+    the suffix tree (``_kernels.enumerate_partitions``).  Instances with
+    n_c**nL beyond 10**7 are rejected, so a level holds at most 1024
+    prefixes and memory does not grow with nL.  The returned modularity
+    is recomputed from the winning partition with `multiplex_modularity`.
 
     Returns
     -------
@@ -236,10 +235,7 @@ def oracle_max_modularity(net, deg, gamma, n_c):
     if n_c == 1:
         part = Partition(np.ones(nL, dtype=np.int64), 1)
         return multiplex_modularity(part, net, deg, gamma), part
-    # the rank-one term rounds as (c d_j) d_i, so S is mirrored from its upper
-    # triangle, the half that enumerate_partitions reads
-    S = np.triu(modularity_op(net, deg, gamma).apply(np.eye(nL)))
-    S += np.triu(S, 1).T
+    S = modularity_op(net, deg, gamma).apply(np.eye(nL))
     _, labels0 = _kernels.enumerate_partitions(S, n_c)
     part = Partition(labels0 + 1, n_c)
     return multiplex_modularity(part, net, deg, gamma), part

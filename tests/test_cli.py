@@ -780,6 +780,24 @@ def test_grid_bad_cell_fails_before_the_solve(capsys, tmp_path, nc_range, k_rang
 
 
 @pytest.mark.parametrize(
+    "nc, k, message",
+    [
+        ("3", "34", "need 1 <= k < nL, got k=34, nL=34"),
+        ("35", "4", "n_c cannot exceed the number of node-layer pairs"),
+    ],
+)
+def test_detect_shape_too_large_for_the_network(capsys, tmp_path, nc, k, message):
+    # Florentine has nL = 34; neither the partition nor the cache is written
+    out, cache = tmp_path / "out.tsv", tmp_path / "basis.npz"
+    rc, stdout, err = run_cli(
+        capsys, "detect", "--input", FLORENTINE, "--method", "dgfm3", "--nc", nc, "--k", k,
+        "--basis-cache", str(cache), "--out", str(out),
+    )  # fmt: skip
+    assert (rc, stdout, err) == (1, "", f"error: {message}\n")
+    assert not out.exists() and not cache.exists()
+
+
+@pytest.mark.parametrize(
     "flag, value, message",
     [
         ("--runs", "0", "n_runs must be >= 1"),

@@ -101,6 +101,7 @@ def test_run_rng_independent_of_order():
         {"gamma": [[1.0, 2.0]]},
         {"eig_tol": float("nan")},
         {"seed": -1},
+        {"seed": 1.5},
     ],
 )
 def test_config_validation(kwargs):
@@ -108,6 +109,11 @@ def test_config_validation(kwargs):
     base.update(kwargs)
     with pytest.raises(ValueError):
         DetectConfig(**base)
+
+
+def test_config_takes_a_numpy_integer_seed():
+    config = DetectConfig(method="dgfm3", n_c=3, k=5, seed=np.int64(3))
+    assert config == DetectConfig(method="dgfm3", n_c=3, k=5, seed=3)
 
 
 def test_diffusion_zero_time_is_projection(florentine):

@@ -548,22 +548,49 @@ def test_enumerate_partitions_matches_the_reference(monkeypatch):
 
 
 def test_suffix_table_lists_every_suffix_with_its_admissibility():
-    # enumerate_partitions' result cannot show the -inf mask: a string that
-    # is not a restricted growth string scores exactly as its canonical
-    # relabelling, which comes first; so test the table itself
+    # every suffix is tabulated and scored, none masked: a string that is not
+    # a restricted growth string scores bit for bit as its canonical
+    # relabelling, which comes earlier, so the first maximum is canonical
     rng = np.random.default_rng(73)
     s = rng.integers(-2, 3, size=(7, 7)).astype(float)
     s = s + s.T
     for n_c, a in [(2, 1), (2, 3), (3, 2), (4, 4)]:
-        y, internal, need = _kernels._suffix_table(s, n_c, a)
+        y, internal = _kernels._suffix_table(s, n_c, a)
         assert y.tolist() == [list(t) for t in itertools.product(range(n_c), repeat=7 - a)]
         tail = s[a:, a:]
-        for lab, score, lowest in zip(y, internal, need):
+        for lab, score in zip(y, internal):
             assert score == tail[np.equal.outer(lab, lab)].sum()
-            for top in range(n_c):
-                seen = itertools.accumulate(lab, max, initial=top)
-                admitted = all(l <= t + 1 for l, t in zip(lab, seen))
-                assert (lowest <= top) == admitted
+    s = rng.standard_normal((7, 7))
+    for n_c in (2, 3, 4):
+        y, internal = _kernels._suffix_table(s, n_c, 0)
+        for i, lab in enumerate(y):
+            first = {}
+            canon = [first.setdefault(l, len(first)) for l in lab]
+            j = int(np.ravel_multi_index(canon, (n_c,) * 7))
+            assert j <= i and (j == i) == (canon == lab.tolist())
+            assert internal[j].tobytes() == internal[i].tobytes()
+
+
+def test_enumerate_partitions_reads_one_triangle(monkeypatch):
+    # the strict lower triangle is never read: NaN there changes no value
+    # bit and no label, and raises no warning
+    rng = np.random.default_rng(76)
+    for chunk in (4096, 7, 1):
+        monkeypatch.setattr(_kernels, "_CHUNK", chunk)
+        for trial in range(40):
+            n_c = int(rng.integers(2, 6))
+            m = int(rng.integers(1, {2: 14, 3: 10, 4: 8, 5: 7}[n_c]))
+            if trial % 2:
+                s = rng.integers(-2, 3, size=(m, m)).astype(float)
+            else:
+                s = rng.standard_normal((m, m))
+            s = s + s.T
+            half = s.copy()
+            half[np.tril_indices(m, -1)] = np.nan
+            val, lab = _kernels.enumerate_partitions(s, n_c)
+            half_val, half_lab = _kernels.enumerate_partitions(half, n_c)
+            assert np.float64(half_val).tobytes() == np.float64(val).tobytes()
+            assert half_lab.tolist() == lab.tolist()
 
 
 def test_enumerate_partitions_memory_at_the_cli_limit():

@@ -15,9 +15,9 @@ Every Ritz residual is then a multiple of v, and its norm is estimated
 by ``beta * |s[m-1, i]|`` from the projected eigenvectors s at no extra
 cost.  Once the estimates pass, the pairs are certified by their true
 residuals ``||A x - theta x|| <= tol * scale``, where ``scale`` is the
-larger of ``scale_floor`` and a spectral-radius estimate (the largest
-Ritz value magnitude, which Lanczos only ever underestimates, so the
-check errs strict); it is never inferred from the projected problem
+Ritz radius, the largest Ritz value magnitude: a spectral-radius
+estimate that Lanczos only ever underestimates, so the check errs
+strict.  A certificate is never inferred from the projected problem
 alone.  A single Krylov sequence cannot split a repeated eigenvalue, so
 certified residuals can still hide a missed copy.  At exit the found
 pairs are therefore moved down to theta_k - scale (Hotelling deflation)
@@ -152,7 +152,7 @@ def _residuals(op, x, theta):
     return resid
 
 
-def _thick_restart(op, k, tol, scale_floor, rng, start, locked=None, above=None):
+def _thick_restart(op, k, tol, rng, start, locked=None, above=None):
     """Thick-restart Lanczos for the k largest eigenpairs of op.
 
     The Krylov basis starts from the direction ``start``; given
@@ -202,7 +202,7 @@ def _thick_restart(op, k, tol, scale_floor, rng, start, locked=None, above=None)
             H[j, : j + 1] = c
             beta = np.linalg.norm(w)
             completed = j + 1
-            if beta > 1e-13 * max(abs(H[j, j]), scale_floor, 1.0):
+            if beta > 1e-13 * max(abs(H[j, j]), 1.0):
                 V[:, completed] = w / beta
             else:
                 # invariant subspace hit: drop w, continue in a fresh direction
@@ -218,7 +218,7 @@ def _thick_restart(op, k, tol, scale_floor, rng, start, locked=None, above=None)
         theta, s = np.linalg.eigh(H[:ncols, :ncols])
         theta = theta[::-1]
         s = s[:, ::-1]
-        scale = max(abs(theta[0]), abs(theta[-1]), scale_floor, np.finfo(float).tiny)
+        scale = max(abs(theta[0]), abs(theta[-1]), np.finfo(float).tiny)
         # A V = V H + beta V[:, m] e_m^T: each Ritz residual is the estimate
         # beta * |s[m-1, i]| times V[:, m].  Certify once the estimates pass.
         est = beta * np.abs(s[ncols - 1, :k])
@@ -251,7 +251,7 @@ def _hotelling(op, theta, x, scale):
     return LinearOperator(op.dim, lambda v: op.apply(v) - x @ (shift * (x.T @ v)), op.label)
 
 
-def largest_eigenpairs(op, k, tol=1e-8, rng_seed=0, scale_floor=0.0):
+def largest_eigenpairs(op, k, tol=1e-8, rng_seed=0):
     """Compute the k largest eigenpairs of a symmetric operator by
     thick-restart Lanczos, then check for missed copies of repeated
     eigenvalues by deflation.
@@ -263,13 +263,10 @@ def largest_eigenpairs(op, k, tol=1e-8, rng_seed=0, scale_floor=0.0):
     k : int
         Number of requested eigenpairs, 1 <= k < op.dim.
     tol : float
-        Relative residual tolerance.
+        Residual tolerance relative to the Ritz radius, > 0.
     rng_seed : int
         Seed for the start vectors (and any breakdown replacements),
-        making the computation deterministic.
-    scale_floor : float
-        Lower bound for the residual scale; pass the spectral shift when
-        solving a shifted problem.
+        making the computation deterministic; an integer >= 0.
 
     Returns
     -------
@@ -278,7 +275,8 @@ def largest_eigenpairs(op, k, tol=1e-8, rng_seed=0, scale_floor=0.0):
     Raises
     ------
     ValueError
-        If k is out of range or rng_seed is negative.
+        Before any apply, if k is out of range, tol is not positive (or is
+        NaN), or rng_seed is not an integer >= 0.
     ConvergenceError
         If residuals fail to reach tol * scale within the restart budget,
         or copies of repeated eigenvalues are still missing after k
@@ -287,19 +285,21 @@ def largest_eigenpairs(op, k, tol=1e-8, rng_seed=0, scale_floor=0.0):
     dim = op.dim
     if not 1 <= k < dim:
         raise ValueError(f"need 1 <= k < dim, got k={k}, dim={dim}")
+    if not tol > 0:  # also NaN: it would use up every restart, then fail
+        raise ValueError("tolerances must be positive")
+    if not isinstance(rng_seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {rng_seed!r}")
     if rng_seed < 0:
         raise ValueError("seed must be >= 0")
     rng = np.random.default_rng(rng_seed)
-    theta, ritz, resid, scale = _thick_restart(
-        op, k, tol, scale_floor, rng, rng.standard_normal(dim)
-    )
+    theta, ritz, resid, scale = _thick_restart(op, k, tol, rng, rng.standard_normal(dim))
     for _ in range(k):
         # one Krylov sequence cannot split a repeated eigenvalue; with the
         # found pairs moved below theta_k, a missed copy is the top of the
         # deflated operator (a tie with theta_k at the cut is accepted)
         thr = theta[-1] + max(10.0 * tol, 1e-10) * scale
         mu, y, _, _ = _thick_restart(
-            _hotelling(op, theta, ritz, scale), 1, tol, scale, rng, rng.standard_normal(dim),
+            _hotelling(op, theta, ritz, scale), 1, tol, rng, rng.standard_normal(dim),
             above=thr,
         )
         if mu[0] <= thr:
@@ -307,9 +307,7 @@ def largest_eigenpairs(op, k, tol=1e-8, rng_seed=0, scale_floor=0.0):
         y = y[:, 0] - ritz @ (ritz.T @ y[:, 0])
         locked = [theta, ritz]
         del ritz  # the resumed solve frees the block once it is copied into V
-        theta, ritz, resid, scale = _thick_restart(
-            op, k, tol, scale_floor, rng, y, locked=locked
-        )
+        theta, ritz, resid, scale = _thick_restart(op, k, tol, rng, y, locked=locked)
     raise ConvergenceError(f"copies still missing after {k} deflation checks", resid)
 
 
@@ -338,14 +336,12 @@ def basis_for_method(method, net, deg, gamma, k, tol=1e-8, rng_seed=0):
     SpectralBasis
     """
     gamma = gamma_vector(gamma, net.L)
-    if not tol > 0:  # also NaN: it would use up every restart, then fail
-        raise ValueError("tolerances must be positive")
     top = float(deg.supra_degrees.max())
     if not math.isfinite(top * top):  # the solver's norms square values this large
         raise ValueError(f"the weights overflow float64: degree {top:g} squared is not finite")
     if method == "mpbtv":
         op, sigma = shifted_neg_lk_op(net, deg, gamma)
-        raw = largest_eigenpairs(op, k, tol=tol, rng_seed=rng_seed, scale_floor=sigma)
+        raw = largest_eigenpairs(op, k, tol=tol, rng_seed=rng_seed)
         return SpectralBasis(
             raw.eigenvalues - sigma, raw.eigenvectors, raw.residuals, op.label, shift=sigma
         )

@@ -115,12 +115,12 @@ def _cluster_slices(values, tol):
     return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
-def _lanczos_vs_dense(op, k, scale_floor, rng_seed):
-    basis = largest_eigenpairs(op, k, tol=1e-10, scale_floor=scale_floor, rng_seed=rng_seed)
+def _lanczos_vs_dense(op, k, rng_seed):
+    basis = largest_eigenpairs(op, k, tol=1e-10, rng_seed=rng_seed)
     a = to_dense(op)
     vals, vecs = np.linalg.eigh(a)
     vals, vecs = vals[::-1], vecs[:, ::-1]
-    scale = max(abs(vals[0]), abs(vals[-1]), scale_floor)
+    scale = max(abs(vals[0]), abs(vals[-1]))
     eig_err = float(np.abs(basis.eigenvalues - vals[:k]).max()) / scale
     sub_err = 0.0
     for block in _cluster_slices(vals, 1e-6 * scale):
@@ -145,8 +145,8 @@ def test_criterion_4_spectral_correctness(announce):
         gamma = random_gamma(rng, net.L)
         k = int(rng.integers(3, 9))
         op_s, sigma = shifted_neg_lk_op(net, deg, gamma)
-        e1, s1 = _lanczos_vs_dense(op_s, k, sigma, trial)
-        e2, s2 = _lanczos_vs_dense(modularity_op(net, deg, gamma), k, 0.0, trial)
+        e1, s1 = _lanczos_vs_dense(op_s, k, trial)
+        e2, s2 = _lanczos_vs_dense(modularity_op(net, deg, gamma), k, trial)
         worst_eig = max(worst_eig, e1, e2)
         worst_sub = max(worst_sub, s1, s2)
 

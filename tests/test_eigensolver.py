@@ -61,8 +61,8 @@ def test_matches_dense_oracle(seed):
         op = modularity_op(net, deg, gamma)
         basis = largest_eigenpairs(op, k, tol=tol, rng_seed=seed)
         check_against_dense(op, basis, k, tol)
-        op_s, sigma = shifted_neg_lk_op(net, deg, gamma)
-        basis = largest_eigenpairs(op_s, k, tol=tol, rng_seed=seed, scale_floor=sigma)
+        op_s, _ = shifted_neg_lk_op(net, deg, gamma)
+        basis = largest_eigenpairs(op_s, k, tol=tol, rng_seed=seed)
         check_against_dense(op_s, basis, k, tol)
 
 
@@ -141,28 +141,27 @@ def _kron3_clustered():
     # that a single Krylov sequence cannot split
     g = np.random.default_rng(3).standard_normal((250, 250))
     a = np.kron(np.eye(3), g + g.T)
-    return LinearOperator(a.shape[0], lambda x: a @ x, "kron3"), 9, 0.0
+    return LinearOperator(a.shape[0], lambda x: a @ x, "kron3"), 9
 
 
 def _planted(operator):
     net = planted_network(np.random.default_rng(7), 1000, 4, 16, mean_degree=16, mix=0.3)
     deg, gamma = compute_degrees(net), np.ones(4)
     if operator == "mod":
-        return modularity_op(net, deg, gamma), 60, 0.0
-    op, sigma = shifted_neg_lk_op(net, deg, gamma)
-    return op, 60, sigma
+        return modularity_op(net, deg, gamma), 60
+    return shifted_neg_lk_op(net, deg, gamma)[0], 60
 
 
 @pytest.mark.parametrize("case", ["mod", "lk", "kron3"])
 def test_ritz_vectors_stay_orthonormal(case):
     # plain Lanczos steps orthogonalize with one full Gram-Schmidt pass
     # after the three-term recurrence; the basis must stay orthonormal
-    op, k, floor = _kron3_clustered() if case == "kron3" else _planted(case)
+    op, k = _kron3_clustered() if case == "kron3" else _planted(case)
     tol = 1e-8
-    basis = largest_eigenpairs(op, k, tol=tol, scale_floor=floor, rng_seed=1)
+    basis = largest_eigenpairs(op, k, tol=tol, rng_seed=1)
     x, theta = basis.eigenvectors, basis.eigenvalues
     assert np.abs(x.T @ x - np.eye(k)).max() <= 1e-12
-    scale = max(np.abs(theta).max(), floor)
+    scale = np.abs(theta).max()
     assert np.all(basis.residuals <= tol * scale)
     true_resid = np.linalg.norm(op.apply(x) - x * theta, axis=0)
     assert np.all(true_resid <= tol * scale)
@@ -173,12 +172,12 @@ def test_solve_memory_bounded_by_basis(case):
     # beside the Krylov basis V (dim x (m + 1)) and the returned Ritz block
     # (dim x k) the solve holds O(dim) work vectors and the m x m projected
     # problem; kron3 also resumes after a missed copy, from the found block
-    op, k, floor = _kron3_clustered() if case == "kron3" else _planted(case)
+    op, k = _kron3_clustered() if case == "kron3" else _planted(case)
     dim, m = op.dim, k + max(k, 15)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        basis = largest_eigenpairs(op, k, scale_floor=floor, rng_seed=1)
+        basis = largest_eigenpairs(op, k, rng_seed=1)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -233,9 +232,21 @@ def test_unreachable_tolerance_raises(florentine):
     net, deg = florentine
     op = modularity_op(net, deg, np.array([1.0, 1.0]))
     with pytest.raises(ConvergenceError) as info:
-        largest_eigenpairs(op, 4, tol=0.0)
+        largest_eigenpairs(op, 4, tol=1e-30)
     assert info.value.residuals is not None
     assert np.all(info.value.residuals >= 0)
+    # a tolerance that is not positive is rejected before any apply
+    applies = []
+
+    def counting_apply(v):
+        applies.append(v)
+        return op.apply(v)
+
+    counting = LinearOperator(op.dim, counting_apply, op.label)
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="^tolerances must be positive$"):
+            largest_eigenpairs(counting, 4, tol=bad)
+    assert applies == []
 
 
 def test_residuals_certified_not_assumed(florentine):
@@ -307,7 +318,8 @@ def test_copies_still_missing_after_k_deflation_checks(florentine, monkeypatch):
 
 @pytest.mark.parametrize("seed", START_SEEDS)
 def test_negative_seed_rejected_on_both_paths(florentine, seed):
-    # the direct solve and the method basis take a seed >= 0 and reject -1
+    # the direct solve and the method basis take an integer seed >= 0 and
+    # reject -1 and 1.5
     net, deg = florentine
     op = florentine_op(florentine)
     assert largest_eigenpairs(op, 4, rng_seed=seed).eigenvalues.shape == (4,)
@@ -316,6 +328,11 @@ def test_negative_seed_rejected_on_both_paths(florentine, seed):
         largest_eigenpairs(op, 4, rng_seed=-1)
     with pytest.raises(ValueError, match="^seed must be >= 0$"):
         basis_for_method("dgfm3", net, deg, 1.0, 4, rng_seed=-1)
+    message = r"^seed must be an integer, got 1\.5$"
+    with pytest.raises(ValueError, match=message):
+        largest_eigenpairs(op, 4, rng_seed=1.5)
+    with pytest.raises(ValueError, match=message):
+        basis_for_method("dgfm3", net, deg, 1.0, 4, rng_seed=1.5)
 
 
 def test_save_load_round_trip(tmp_path, florentine):

@@ -1,11 +1,13 @@
 """The package's public surface: each module's __all__, exported once, the
 equality rule of its records, README's library and command line examples,
-and the names the benchmark's tracer patches."""
+the names the benchmark's tracer patches and the basis fields its worker
+reads."""
 
 import importlib.util
 import re
 
 import numpy as np
+import pytest
 
 import mpxmbo
 from conftest import DATA_DIR, readme_command_line, readme_section
@@ -108,3 +110,18 @@ def test_benchmark_tracer_names_resolve():
     for owner, attr in refs:
         assert callable(getattr(spans._resolve(mpxmbo, owner), attr)), (owner, attr)
     assert isinstance(mpxmbo.USING_NUMBA, bool)
+
+
+@pytest.mark.parametrize("method", ["mpbtv", "dgfm3"])
+def test_benchmark_worker_residual_reads_the_basis(florentine, method):
+    # perfbench/worker.py rebuilds the solved operator from basis.shift and
+    # shifted_neg_lk_op's sigma at --trace 1; a change to either would
+    # corrupt its residual metric
+    spec = importlib.util.spec_from_file_location("worker", ROOT / "perfbench" / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    net, deg = florentine
+    gamma = np.ones(net.L)
+    b = mpxmbo.basis_for_method(method, net, deg, gamma, 4)
+    value = worker.max_rel_residual(b.eigenvalues, b.eigenvectors, net, deg, gamma, b.shift)
+    assert np.isfinite(value) and value <= 1e-8

@@ -66,6 +66,21 @@ def label_edge_sums(rows, cols, data, labels, cross=False):
 # scores bit for bit as its canonical relabelling, which moves only labels
 # absent from x (where G is exactly 0.0), keeps internal(y) (a function
 # of y's equality pattern alone) and comes earlier in x's row.
+#
+# Not every prefix is scored.  Once G is built, each prefix's best
+# completion is bounded from above:
+#     bound(x) = score(x) + sum_q S[a+q, a+q] + 2 sum_{q<r} max(S[a+q, a+r], 0)
+#                + 2 sum_q max_c G[x, c, q],
+# where the max over c includes 0.0 for every label x leaves free.  The
+# incumbent is the best completion of the prefix with the highest bound.
+# Only the prefixes whose bound reaches the incumbent less a slack of
+# 1e-9 times the sum of |S| over the diagonal and upper triangle (far
+# above the rounding of any sum here) are scored, in lexicographic order.
+# A pruned prefix completes only to strings below the incumbent, so below
+# the maximum, and a string's score does not depend on its block: the
+# value bits and the labels are those of scoring every prefix.  If the
+# incumbent or any bound is not finite (NaN or overflow in S), every
+# prefix is scored.
 
 
 def _extend(labels, maxl, score, S, n_c):
@@ -98,13 +113,33 @@ def _suffix_table(S, n_c, a):
     return y.T, internal
 
 
-def _best_completion(labels, score, S, n_c, table):
-    """First maximum, in lexicographic order, over each prefix followed by
-    each suffix: (value, prefix, suffix index).
+def _score_prefixes(x, score, internal, n_c, bufs):
+    """Scores of each prefix (G rows ``x``, score) followed by each suffix, in bufs."""
+    r, b = len(x), x.shape[2]
+    c = np.zeros((r, 1))
+    for q in range(b):
+        # one strided add per label, so numpy's inner loop runs over the
+        # whole parent level
+        out = bufs[q % 2][: c.size * n_c].reshape(r, -1)
+        for j in range(n_c):
+            np.add(c, x[:, j, q, None], out=out[:, j::n_c])
+        c = out
+    t = bufs[b % 2][: r * len(internal)].reshape(r, -1)
+    np.add(score[:, None], internal, out=t)
+    c *= 2.0
+    t += c
+    return t
 
-    G is built once; the prefixes are scored in blocks of about 16 * _CHUNK
-    strings, each block's cross term grown between two block-sized buffers.
-    """
+
+def _bound(score, g, tail):
+    """Upper bound on each prefix's best completion, ``tail`` the suffix block of S."""
+    pairs = np.maximum(np.triu(tail, 1), 0.0).sum()
+    return score + (np.trace(tail) + 2.0 * pairs) + 2.0 * g.max(axis=1).sum(axis=1)
+
+
+def _best_completion(labels, score, S, n_c, table):
+    """First maximum, in lexicographic order, over each prefix followed by each
+    suffix: (value, prefix, suffix index); blocks hold about 16 * _CHUNK strings."""
     y, internal = table
     n, a = labels.shape
     b, width = y.shape[1], len(y)
@@ -114,25 +149,18 @@ def _best_completion(labels, score, S, n_c, table):
         g[at, labels[:, i]] += S[i, a:]
     rows = max(1, 16 * _CHUNK // width)
     bufs = [np.empty(min(rows, n) * width) for _ in range(2)]
+    bound = _bound(score, g, S[a:, a:])
+    top = int(np.argmax(bound))
+    incumbent = _score_prefixes(g[top : top + 1], score[top : top + 1], internal, n_c, bufs).max()
+    if np.isfinite(incumbent) and np.isfinite(bound).all():  # else score every prefix
+        at = np.flatnonzero(bound >= incumbent - 1e-9 * np.abs(np.triu(S)).sum())
     best = None
-    for start in range(0, n, rows):
-        x = g[start : start + rows]
-        r = len(x)
-        c = np.zeros((r, 1))
-        for q in range(b):
-            # one strided add per label, so numpy's inner loop runs over the
-            # whole parent level
-            out = bufs[q % 2][: c.size * n_c].reshape(r, -1)
-            for j in range(n_c):
-                np.add(c, x[:, j, q, None], out=out[:, j::n_c])
-            c = out
-        t = bufs[b % 2][: r * width].reshape(r, width)
-        np.add(score[start : start + r, None], internal, out=t)
-        c *= 2.0
-        t += c
+    for start in range(0, len(at), rows):
+        i = at[start : start + rows]
+        t = _score_prefixes(g[i], score[i], internal, n_c, bufs)
         k = int(np.argmax(t))
         if best is None or t.flat[k] > best[0]:
-            best = (float(t.flat[k]), labels[start + k // width], k % width)
+            best = (float(t.flat[k]), labels[i[k // width]], k % width)
     return best
 
 
@@ -142,7 +170,10 @@ def enumerate_partitions(S, n_c):
     Reads only the diagonal and upper triangle of ``S``.  Returns (value,
     labels), 0-based; among equal maxima the lexicographically first
     restricted growth string wins.  Each prefix, a restricted growth
-    string, is scored against every suffix.  The prefixes are held whole,
+    string, is scored against every suffix if its upper bound reaches the
+    incumbent, the best completion of the prefix with the highest bound,
+    less a slack of 1e-9 * sum |S| over one triangle; every prefix is, if
+    the incumbent or a bound is not finite.  The prefixes are held whole,
     so their number, not ``_CHUNK``, sets the memory; ``_CHUNK`` bounds
     only the size of the suffix table and of each scoring block.
     """

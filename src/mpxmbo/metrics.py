@@ -15,7 +15,8 @@ objective alike; `_overlaps` gives the non-empty cells of the
 contingency table, which `nmi` and `matched_accuracy` both read, so both
 truth scores take O(nL) memory whatever the n_c.  The oracle scores the
 matrix of the solver's own `operators.modularity_op`, so the supra
-modularity matrix has one definition in the package.
+modularity matrix has one definition in the package.  It accepts
+n_c**nL <= 10**7 and skips the prefixes whose bound is below its incumbent.
 """
 
 from __future__ import annotations
@@ -210,10 +211,10 @@ def matched_accuracy(detected, truth):
 def oracle_max_modularity(net, deg, gamma, n_c):
     """Global maximum of multiplex modularity over partitions into <= n_c groups.
 
-    Scores every canonical label assignment (label permutations are
+    Scores canonical label assignments (label permutations are
     visited once) against the matrix of `modularity_op` applied to the
-    identity, with no bounding or pruning: prefixes are grown level by
-    level, and each block of them is scored against all n_c**b suffixes
+    identity: prefixes are grown level by level, and each block of those
+    whose bound reaches the incumbent is scored against all n_c**b suffixes
     (b < nL the longest with n_c**b <= 4096), whose sums are grown along
     the suffix tree (``_kernels.enumerate_partitions``).  Instances with
     n_c**nL beyond 10**7 are rejected, so a level holds at most 1024

@@ -607,6 +607,113 @@ def test_enumerate_partitions_memory_at_the_cli_limit():
     assert peak < 8 * 2**20
 
 
+@pytest.mark.parametrize("chunk", [4096, 7])
+def test_prefix_bound_covers_every_completion(chunk, monkeypatch):
+    # each prefix's bound is at least the best completion that the kernel
+    # scores for that prefix alone, less the slack; m reaches the oracle's
+    # limit (n_c**m <= 10**7) at _CHUNK = 4096, where a level holds at most
+    # 1024 prefixes; at 7 (suffixes of one or two positions) it stops where
+    # a level holds about 10**4
+    monkeypatch.setattr(_kernels, "_CHUNK", chunk)
+    bounds = []
+    bound = _kernels._bound
+
+    def spy(score, g, tail):
+        out = bound(score, g, tail)
+        bounds.append((score, g, out))
+        return out
+
+    monkeypatch.setattr(_kernels, "_bound", spy)
+    top = {2: 23, 3: 14, 4: 11, 5: 10} if chunk == 4096 else {2: 16, 3: 11, 4: 9, 5: 8}
+    rng = np.random.default_rng(77)
+    for trial in range(60):
+        # the first eight take each n_c at its largest m, once per kind of S
+        n_c = 2 + trial // 2 % 4
+        m = top[n_c] if trial < 8 else int(rng.integers(2, top[n_c] + 1))
+        if trial % 2:
+            s = rng.integers(-2, 3, size=(m, m)).astype(float)
+        else:
+            s = rng.standard_normal((m, m))
+        s = s + s.T
+        bounds.clear()
+        _kernels.enumerate_partitions(s, n_c)
+        [(score, g, out)] = bounds
+        _, internal = _kernels._suffix_table(s, n_c, m - g.shape[2])
+        slack = 1e-9 * np.abs(np.triu(s)).sum()
+        bufs = [np.empty(len(internal)) for _ in range(2)]
+        for i in range(len(score)):
+            t = _kernels._score_prefixes(g[i : i + 1], score[i : i + 1], internal, n_c, bufs)
+            assert out[i] >= t.max() - slack
+
+
+def count_scored_prefixes(monkeypatch):
+    """List that receives the number of prefix rows of each scoring call."""
+    rows = []
+    score_prefixes = _kernels._score_prefixes
+
+    def spy(x, *args):
+        rows.append(len(x))
+        return score_prefixes(x, *args)
+
+    monkeypatch.setattr(_kernels, "_score_prefixes", spy)
+    return rows
+
+
+def two_block_instance(seed):
+    """+1 within and -1 across two shuffled groups of 10, plus 0.3 N(0, 1)."""
+    rng = np.random.default_rng(seed)
+    group = rng.permutation(np.repeat([0, 1], 10))
+    s = np.where(np.equal.outer(group, group), 1.0, -1.0) + 0.3 * rng.standard_normal((20, 20))
+    return s + s.T, group
+
+
+def test_enumerate_partitions_prunes_the_prefixes_below_the_incumbent(monkeypatch):
+    # nL = 20 and n_c = 2 leave 128 prefixes of length 8; the incumbent row
+    # and at most one more reach the scoring routine, with either triangle
+    # alone, and the result is the reference's
+    s, group = two_block_instance(78)
+    half = s.copy()
+    half[np.tril_indices(20, -1)] = np.nan
+    want_val, want_lab = reference_enumerate_partitions(s, 2, 4096)
+    assert nmi(Partition(want_lab + 1, 2), Partition(group + 1, 2)) == 1.0
+    for matrix in (s, half):
+        rows = count_scored_prefixes(monkeypatch)
+        val, lab = _kernels.enumerate_partitions(matrix, 2)
+        assert sum(rows) <= 2
+        assert np.float64(val).tobytes() == np.float64(want_val).tobytes()
+        assert lab.tolist() == want_lab.tolist()
+
+
+def test_enumerate_partitions_scores_every_prefix_when_a_bound_is_not_finite(monkeypatch):
+    # NaN on the diagonal makes every bound NaN: nothing is pruned
+    s, _ = two_block_instance(78)
+    s[5, 5] = np.nan
+    rows = count_scored_prefixes(monkeypatch)
+    val, lab = _kernels.enumerate_partitions(s, 2)
+    assert sum(rows) >= 128
+    want_val, want_lab = reference_enumerate_partitions(s, 2, 4096)
+    assert np.isnan(val) and np.isnan(want_val)
+    assert lab.tolist() == want_lab.tolist()
+
+
+@pytest.mark.parametrize(
+    "n_c, m", [(2, 16), (2, 17), (2, 18), (2, 19), (2, 20), (3, 11), (3, 12), (4, 9), (4, 10)]
+)
+def test_enumerate_partitions_matches_the_reference_on_tied_blocks(n_c, m):
+    # two or three identical diagonal blocks of small integers (the last
+    # cut to size): many prefixes tie at the maximum, at sizes the
+    # 1050-instance test does not reach, so pruning must keep the
+    # lexicographically first
+    rng = np.random.default_rng([n_c, m, 79])
+    k = -(-m // (2 + m % 2))
+    block = rng.integers(-2, 3, size=(k, k)).astype(float)
+    s = np.kron(np.eye(2 + m % 2), block + block.T)[:m, :m]
+    want_val, want_lab = reference_enumerate_partitions(s, n_c, 4096)
+    val, lab = _kernels.enumerate_partitions(s, n_c)
+    assert np.float64(val).tobytes() == np.float64(want_val).tobytes()
+    assert lab.tolist() == want_lab.tolist()
+
+
 def test_label_edge_sums_match_dense_mask(florentine):
     net, _ = florentine
     rng = np.random.default_rng(70)
